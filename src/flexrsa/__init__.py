@@ -3,27 +3,24 @@
 Pipeline: instance JSON -> reach-based trimming -> MILP (base / notrim /
 trimmed; feasibility / maxsubset) -> external solver subprocess -> path
 extraction and verification. A brute-force oracle grounds every piece on
-small instances.
+small instances. The package is pure Python; trimming and the scenario
+generator's router share one Dijkstra (`flexrsa.trimming.dijkstra`).
 """
 
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ColoredGraph,
     Demand,
     InputError,
     Link,
     OpticalNetwork,
     RestorationInstance,
     RoutedPath,
-    color_graph,
     is_valid_path,
     paths_intersect,
-    range_graph,
 )
 from .trimming import (  # noqa: F401
     UsefulTripleSet,
     compute_useful_triples,
     is_infeasible_by_trimming,
-    shortest_distances,
 )

@@ -31,6 +31,10 @@ INFEASIBLE = "infeasible"
 TIMELIMIT = "timelimit"
 ERROR = "error"
 
+BUILTIN = "builtin-highs"
+# directory holding the flexrsa package, for the builtin solver's child
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 class SolverNotFound(RuntimeError):
     pass
@@ -118,7 +122,7 @@ def resolve_solver(solver: str):
             "-c", "quit",
         ]
     if solver == "builtin":
-        return "builtin-highs", [
+        return BUILTIN, [
             sys.executable, "-m", "flexrsa.lp_driver",
             "{lp_file}", "{sol_file}", "{time_limit}",
         ]
@@ -230,10 +234,15 @@ def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
 
 
 def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
-    """Emit the model, run the configured solver, and parse the outcome."""
+    """Emit the model, run the configured solver, and parse the outcome.
+
+    wall_seconds covers the whole round trip: LP emission, the solver process
+    and the parsing of its solution file.
+    """
     if not model.variables:
         return _evaluate_without_solver(model)
 
+    start = time.perf_counter()
     solver_name, template = resolve_solver(config.solver)
     owns_dir = config.workdir is None
     workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
@@ -251,8 +260,13 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         "time_limit": f"{config.time_limit:g}",
     }
     cmd = [arg.format(**subst) for arg in template]
+    env = None
+    if solver_name == BUILTIN:
+        # the child imports the same flexrsa as this process, however found
+        inherited = os.environ.get("PYTHONPATH")
+        path = PACKAGE_PARENT + (os.pathsep + inherited if inherited else "")
+        env = dict(os.environ, PYTHONPATH=path)
 
-    start = time.perf_counter()
     try:
         with open(log_file, "w", encoding="utf-8") as log:
             proc = subprocess.run(
@@ -261,15 +275,19 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
                 stderr=subprocess.STDOUT,
                 timeout=config.time_limit * 2 + 60,
                 check=False,
+                env=env,
             )
         returncode = proc.returncode
         timed_out_hard = False
     except (subprocess.TimeoutExpired, OSError) as exc:
         returncode = -1
         timed_out_hard = isinstance(exc, subprocess.TimeoutExpired)
-    wall = time.perf_counter() - start
 
-    def finish(outcome: SolveOutcome) -> SolveOutcome:
+    def finish(status, assignment=None, objective=None, message="") -> SolveOutcome:
+        wall = time.perf_counter() - start
+        outcome = SolveOutcome(
+            status, assignment, objective, wall, solver_name, message=message
+        )
         if outcome.status == ERROR or config.keep_files:
             outcome.log_path = log_file
         elif owns_dir:
@@ -280,17 +298,11 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
 
     if timed_out_hard:
         return finish(
-            SolveOutcome(
-                TIMELIMIT, None, None, wall, solver_name,
-                message="solver killed after exceeding twice the time limit",
-            )
+            TIMELIMIT, message="solver killed after exceeding twice the time limit"
         )
     if not os.path.exists(sol_file):
         return finish(
-            SolveOutcome(
-                ERROR, None, None, wall, solver_name,
-                message=f"solver wrote no solution file (exit {returncode})",
-            )
+            ERROR, message=f"solver wrote no solution file (exit {returncode})"
         )
 
     with open(sol_file, "r", encoding="utf-8") as fh:
@@ -305,10 +317,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
             value = values.get(var_name(key), 0.0)
             if 0.01 < value < 0.99:
                 return finish(
-                    SolveOutcome(
-                        ERROR, None, None, wall, solver_name,
-                        message=f"non-integral binary {var_name(key)}={value}",
-                    )
+                    ERROR, message=f"non-integral binary {var_name(key)}={value}"
                 )
             assignment[key] = 1 if value >= 0.5 else 0
         objective = sum(
@@ -320,6 +329,4 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     if status in (OPTIMAL, FEASIBLE) and assignment is None:
         status = ERROR
 
-    return finish(
-        SolveOutcome(status, assignment, objective, wall, solver_name)
-    )
+    return finish(status, assignment, objective)

@@ -5,8 +5,10 @@ Invoked as::
     python -m flexrsa.lp_driver <model.lp> <out.sol> [time_limit_seconds]
 
 and writes a CBC-style solution file (status line, then one row per variable:
-index, name, value, reduced cost). This keeps the solver behind the same
-file + subprocess seam as cbc/scip, so the backend needs no linked library.
+index, name, value, reduced cost). The HiGHS log goes to standard output,
+which the backend keeps as `solver.log`. This keeps the solver behind the
+same file + subprocess seam as cbc/scip, so the backend needs no linked
+library.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
         constraints=constraints,
         integrality=np.ones(n),
         bounds=Bounds(lb, ub),
-        options={"time_limit": float(time_limit), "mip_rel_gap": 0.0},
+        options={"disp": True, "time_limit": float(time_limit), "mip_rel_gap": 0.0},
     )
 
     if res.status == 0:

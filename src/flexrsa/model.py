@@ -1,4 +1,4 @@
-"""Core data model: networks, demands, colored graphs and routed paths.
+"""Core data model: networks, demands and routed paths.
 
 All types here are immutable after construction and safe to share across
 threads. Colors (spectrum slots) are 1-based integers in {1..C}; links are
@@ -166,21 +166,6 @@ class OpticalNetwork:
 
 
 @dataclass(frozen=True)
-class ColoredGraph:
-    """Subgraph of the network restricted to links carrying a color (or color range).
-
-    Edges are the original Link objects, so parallel edges and link ids survive.
-    """
-
-    label: str
-    nodes: tuple[NodeId, ...]
-    edges: tuple[Link, ...]
-
-    def edge_ids(self) -> frozenset[int]:
-        return frozenset(link.id for link in self.edges)
-
-
-@dataclass(frozen=True)
 class RestorationInstance:
     """One solver input: a partially occupied network plus the demands to route."""
 
@@ -212,36 +197,6 @@ class RestorationInstance:
             if d.id == demand_id:
                 return d
         raise InputError(f"unknown demand id {demand_id}")
-
-
-# ---------------------------------------------------------------------------
-# Colored / range graphs
-# ---------------------------------------------------------------------------
-
-def color_graph(network: OpticalNetwork, c: int) -> ColoredGraph:
-    """Multigraph of all links on which color c is free."""
-    if not 1 <= c <= network.slot_count:
-        raise InputError(f"color {c} outside 1..{network.slot_count}")
-    edges = tuple(l for l in network.links if c in network.available[l.id])
-    return ColoredGraph(label=f"c={c}", nodes=network.nodes, edges=edges)
-
-
-def range_graph(network: OpticalNetwork, c: int, w: int) -> ColoredGraph:
-    """Multigraph of links carrying the whole color range {c .. c+w-1}.
-
-    Equals the edge intersection of the color graphs of every color in the range.
-    """
-    if w < 1:
-        raise InputError(f"width {w} must be positive")
-    if c < 1 or c + w - 1 > network.slot_count:
-        raise InputError(
-            f"color range {c}..{c + w - 1} outside 1..{network.slot_count}"
-        )
-    needed = range(c, c + w)
-    edges = tuple(
-        l for l in network.links if all(cc in network.available[l.id] for cc in needed)
-    )
-    return ColoredGraph(label=f"c={c}:w={w}", nodes=network.nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------

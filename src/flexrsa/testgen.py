@@ -17,7 +17,6 @@ the broken demands and then break a second eligible link, with no guarantee.
 
 from __future__ import annotations
 
-import heapq
 import importlib.resources
 import random
 from dataclasses import dataclass, field
@@ -25,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .model import (
     Demand,
     OpticalNetwork,
     RestorationInstance,
     RoutedPath,
 )
+from .trimming import adjacency, dijkstra, free_windows
 
 MODULATION_REACH_KM = {"bpsk": 5000.0, "qpsk": 2500.0, "8qam": 1250.0}
 
@@ -100,18 +99,12 @@ class _Router:
     """First-fit shortest-valid routing over a mutable occupation state."""
 
     def __init__(self, topology: OpticalNetwork):
-        self.net = topology
         self.node_index = {n: i for i, n in enumerate(topology.nodes)}
         self.links = topology.links
         self.edge_index = {l.id: e for e, l in enumerate(self.links)}
+        self.adj = adjacency(topology)
+        self.lengths = [l.length for l in self.links]
         m = len(self.links)
-        self.edge_u = np.array(
-            [self.node_index[l.u] for l in self.links], dtype=np.int32
-        )
-        self.edge_v = np.array(
-            [self.node_index[l.v] for l in self.links], dtype=np.int32
-        )
-        self.edge_len = np.array([l.length for l in self.links], dtype=np.float64)
         c = topology.slot_count
         # free means: not occupied by a main; strict additionally excludes
         # recovery reservations
@@ -119,10 +112,6 @@ class _Router:
         self.free_strict = np.ones((m, c), dtype=np.uint8)
         # per reserved slot: the main link sets whose recoveries hold it
         self.reservation_owners: dict = {}
-        self.adjacency = {
-            n: sorted(topology.incident(n), key=lambda l: l.id)
-            for n in topology.nodes
-        }
 
     def occupy_main(self, path: RoutedPath) -> None:
         for link in path.links:
@@ -148,61 +137,25 @@ class _Router:
         return avail
 
     def first_fit(self, s, t, width, reach, avail, banned_links=frozenset()):
-        """Lowest first color admitting a reach-valid route, plus that route."""
+        """Lowest first color admitting a reach-valid route, plus the shortest
+        such route in that color range."""
         if banned_links:
             avail = avail.copy()
             for link_id in banned_links:
                 avail[self.edge_index[link_id], :] = 0
-        _marks, valid = kernels.trim_demand_scan(
-            len(self.net.nodes),
-            self.edge_u,
-            self.edge_v,
-            self.edge_len,
-            avail,
-            self.node_index[s],
-            self.node_index[t],
-            width,
-            reach,
-        )
-        hits = np.flatnonzero(valid)
-        if not len(hits):
-            return None
-        c0 = int(hits[0]) + 1
-        links = self._shortest_path(s, t, width, c0, avail)
-        path = RoutedPath(links=tuple(links), first_color=c0, width=width)
-        if path.length() > reach:  # kernel promised otherwise
-            raise GenerationError("router disagreement on reach; this is a bug")
-        return path
-
-    def _shortest_path(self, s, t, width, c0, avail):
-        dist = {s: 0.0}
-        pred: dict = {}
-        heap = [(0.0, self.node_index[s], s)]
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
+        root, target = self.node_index[s], self.node_index[t]
+        for c, active in enumerate(free_windows(avail, width), start=1):
+            dist, pred = dijkstra(self.adj, self.lengths, active, root)
+            if dist[target] > reach:
                 continue
-            if node == t:
-                break
-            for link in self.adjacency[node]:
-                e = self.edge_index[link.id]
-                if not all(avail[e, c - 1] for c in range(c0, c0 + width)):
-                    continue
-                other = link.other(node)
-                nd = d + link.length
-                if nd < dist.get(other, float("inf")):
-                    dist[other] = nd
-                    pred[other] = (link, node)
-                    heapq.heappush(heap, (nd, self.node_index[other], other))
-        if t not in pred and t != s:
-            raise GenerationError("router disagreement on reachability; this is a bug")
-        links = []
-        cur = t
-        while cur != s:
-            link, prev = pred[cur]
-            links.append(link)
-            cur = prev
-        return list(reversed(links))
+            links = []
+            node = t
+            while node != s:
+                link = self.links[pred[self.node_index[node]]]
+                links.append(link)
+                node = link.other(node)
+            return RoutedPath(links=tuple(reversed(links)), first_color=c, width=width)
+        return None
 
 
 def _restrict_network(topology: OpticalNetwork, occupied: dict, drop_links=frozenset()):

@@ -6,6 +6,9 @@ of colors {c .. c+w_d-1}; surviving edges contribute c to the per-link first
 color set and the whole range to the useful triple set. Demands whose every
 range graph leaves t_d out of reach are non re-routable, which alone proves
 the instance infeasible.
+
+The module's Dijkstra is the package's only shortest-path search; the loader's
+first-fit router (:mod:`flexrsa.testgen`) uses it too.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
-from .model import ColoredGraph, InputError, NodeId, RestorationInstance
+from .model import OpticalNetwork, RestorationInstance
+
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -50,65 +54,73 @@ class UsefulTripleSet:
         return out
 
 
-def shortest_distances(graph: ColoredGraph, root: NodeId) -> dict:
-    """Exact single-source shortest distances over a weighted multigraph.
+def adjacency(network: OpticalNetwork) -> list:
+    """Per node index (position in `network.nodes`): the (edge index, other
+    node index) pairs of its links, in link-id order. Edge e is network.links[e]."""
+    node_index = {n: i for i, n in enumerate(network.nodes)}
+    adj: list = [[] for _ in network.nodes]
+    for e, link in enumerate(network.links):
+        u, v = node_index[link.u], node_index[link.v]
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    return adj
 
-    Unreachable nodes are absent from the returned mapping.
+
+def dijkstra(adj: list, lengths: list, active: list, root: int):
+    """Shortest distances from `root` over the edges e with active[e].
+
+    Returns (dist, pred): dist[n] is INF for unreachable nodes; pred[n] is the
+    edge by which the shortest path enters n (-1 for the root and unreachable
+    nodes). Distances sum edge lengths in walk order from the root, and a
+    node's distance changes only on a strictly shorter one, so among equal
+    paths the first found (lowest node index off the heap, then lowest edge
+    index) wins.
     """
-    if root not in graph.nodes:
-        raise InputError(f"root {root!r} is not a node of {graph.label}")
-    adj: dict[NodeId, list] = {}
-    for link in graph.edges:
-        adj.setdefault(link.u, []).append((link.length, link.v))
-        adj.setdefault(link.v, []).append((link.length, link.u))
-    dist = {root: 0.0}
-    heap = [(0.0, 0, root)]
-    order = {root: 0}
-    counter = 1
+    dist = [INF] * len(adj)
+    pred = [-1] * len(adj)
+    dist[root] = 0.0
+    heap = [(0.0, root)]
     while heap:
-        d, _, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
             continue
-        for length, other in adj.get(node, ()):
-            nd = d + length
-            if nd < dist.get(other, float("inf")):
+        for e, other in adj[node]:
+            if not active[e]:
+                continue
+            nd = d + lengths[e]
+            if nd < dist[other]:
                 dist[other] = nd
-                if other not in order:
-                    order[other] = counter
-                    counter += 1
-                heapq.heappush(heap, (nd, order[other], other))
-    return dist
+                pred[other] = e
+                heapq.heappush(heap, (nd, other))
+    return dist, pred
 
 
-def _index_arrays(instance: RestorationInstance):
+def free_windows(avail: np.ndarray, width: int) -> list:
+    """For an (edges x colors) availability matrix: list indexed by first
+    color - 1 of per-edge flags, True iff the edge has all `width` colors
+    from that first color on free."""
+    if width > avail.shape[1]:
+        return []
+    windows = np.lib.stride_tricks.sliding_window_view(avail, width, axis=1)
+    return windows.all(axis=2).T.tolist()
+
+
+def availability(network: OpticalNetwork) -> np.ndarray:
+    """(edges x colors) bool matrix: [e, c - 1] iff color c is free on links[e]."""
+    avail = np.zeros((len(network.links), network.slot_count), dtype=bool)
+    for e, link in enumerate(network.links):
+        avail[e, [c - 1 for c in network.available[link.id]]] = True
+    return avail
+
+
+def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
+    """Run the trimming scan for every demand of the instance."""
     net = instance.network
     node_index = {n: i for i, n in enumerate(net.nodes)}
-    m = len(net.links)
-    edge_u = np.empty(m, dtype=np.int32)
-    edge_v = np.empty(m, dtype=np.int32)
-    edge_len = np.empty(m, dtype=np.float64)
-    avail = np.zeros((m, net.slot_count), dtype=np.uint8)
-    for e, link in enumerate(net.links):
-        edge_u[e] = node_index[link.u]
-        edge_v[e] = node_index[link.v]
-        edge_len[e] = link.length
-        for c in net.available[link.id]:
-            avail[e, c - 1] = 1
-    return node_index, edge_u, edge_v, edge_len, avail
-
-
-def compute_useful_triples(
-    instance: RestorationInstance, kernel=None
-) -> UsefulTripleSet:
-    """Run the trimming scan for every demand of the instance.
-
-    `kernel` overrides the scan implementation (used by the benchmark); the
-    default is the backend selected in :mod:`flexrsa.kernels`.
-    """
-    scan = kernel or kernels.trim_demand_scan
-    net = instance.network
-    node_index, edge_u, edge_v, edge_len, avail = _index_arrays(instance)
-    link_ids = [l.id for l in net.links]
+    adj = adjacency(net)
+    lengths = [l.length for l in net.links]
+    ends = [(node_index[l.u], node_index[l.v]) for l in net.links]
+    avail = availability(net)
 
     useful = set()
     first_colors: dict = {}
@@ -116,30 +128,32 @@ def compute_useful_triples(
     non_reroutable = set()
 
     for demand in sorted(instance.demands, key=lambda d: d.id):
-        marks, valid = scan(
-            len(net.nodes),
-            edge_u,
-            edge_v,
-            edge_len,
-            avail,
-            node_index[demand.s],
-            node_index[demand.t],
-            demand.width,
-            demand.reach,
-        )
-        valid_first[demand.id] = frozenset(
-            c + 1 for c in np.flatnonzero(valid).tolist()
-        )
-        if not valid_first[demand.id]:
+        s, t, reach = node_index[demand.s], node_index[demand.t], demand.reach
+        valid = []
+        marks: list = [[] for _ in ends]  # edge -> first colors it lies on
+        for c, active in enumerate(free_windows(avail, demand.width), start=1):
+            dist_s, _ = dijkstra(adj, lengths, active, s)
+            if dist_s[t] > reach:
+                continue
+            valid.append(c)
+            dist_t, _ = dijkstra(adj, lengths, active, t)
+            for e, (u, v) in enumerate(ends):
+                if not active[e]:
+                    continue
+                ln = lengths[e]
+                if dist_s[u] + ln + dist_t[v] <= reach or dist_s[v] + ln + dist_t[u] <= reach:
+                    marks[e].append(c)
+        valid_first[demand.id] = frozenset(valid)
+        if not valid:
             non_reroutable.add(demand.id)
             continue
-        w = demand.width
-        for e in np.flatnonzero(marks.any(axis=1)).tolist():
-            cols = np.flatnonzero(marks[e]).tolist()
-            first_colors[(demand.id, link_ids[e])] = frozenset(c + 1 for c in cols)
+        for link, cols in zip(net.links, marks):
+            if not cols:
+                continue
+            first_colors[(demand.id, link.id)] = frozenset(cols)
             for c in cols:
-                for cc in range(c + 1, c + 1 + w):
-                    useful.add((demand.id, link_ids[e], cc))
+                for cc in range(c, c + demand.width):
+                    useful.add((demand.id, link.id, cc))
 
     return UsefulTripleSet(
         useful=frozenset(useful),

@@ -1,6 +1,8 @@
 import os
+import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -15,6 +17,7 @@ from flexrsa.backend import (
     resolve_solver,
     solve,
 )
+from flexrsa.io import save_instance
 from flexrsa.lp_driver import solve_lp_file
 from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import build_model
@@ -224,9 +227,48 @@ class TestWorkdirHandling:
         assert (tmp_path / "w" / "model.lp").exists()
         assert (tmp_path / "w" / "model.sol").exists()
 
+    def test_keep_files_keeps_a_nonempty_solver_log(self, t1, tmp_path):
+        cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"), keep_files=True)
+        assert solve(trimmed(t1), cfg).status == OPTIMAL
+        assert (tmp_path / "w" / "solver.log").read_text().strip()
+
     def test_temp_dir_cleaned_on_success(self, t1):
         out = solve(trimmed(t1), BUILTIN)
         assert out.log_path is None
+
+
+class TestRoundTrip:
+    def test_wall_seconds_include_lp_emission(self, t1, monkeypatch):
+        def slow_emit(model):
+            time.sleep(0.3)
+            return emit_lp_text(model)
+
+        monkeypatch.setattr("flexrsa.backend.emit_lp_text", slow_emit)
+        # an instant "solver" that leaves an empty solution file
+        cfg = SolverConfig(solver="cmd:touch {lp_file} {sol_file}", time_limit=60)
+        out = solve(trimmed(t1), cfg)
+        assert out.status == ERROR
+        assert out.wall_seconds >= 0.3
+
+    def test_child_finds_flexrsa_found_through_sys_path(self, t1, tmp_path):
+        import flexrsa
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flexrsa.__file__)))
+        instance = str(tmp_path / "t1.json")
+        save_instance(t1, instance)
+        code = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {src!r})
+            from flexrsa.cli import main
+            sys.exit(main(["solve", {instance!r}, "--solver", "builtin",
+                           "-o", {str(tmp_path / "sol.json")!r}]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestObjectiveRecompute:

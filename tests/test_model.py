@@ -10,62 +10,61 @@ from flexrsa.model import (
     OpticalNetwork,
     RestorationInstance,
     RoutedPath,
-    color_graph,
     is_valid_path,
     paths_intersect,
-    range_graph,
     walk_node_sequence,
 )
+from flexrsa.trimming import availability, free_windows
 
 
 def links_of(instance, *ids):
     return tuple(instance.network.link(i) for i in ids)
 
 
+def range_links(network, c, w):
+    """Ids of the links carrying the whole color range {c .. c+w-1}."""
+    window = free_windows(availability(network), w)[c - 1]
+    return {link.id for link, free in zip(network.links, window) if free}
+
+
 class TestColorGraph:
     def test_t1_all_links(self, t1):
-        g = color_graph(t1.network, 1)
-        assert g.edge_ids() == {1, 2, 3}
+        assert range_links(t1.network, 1, 1) == {1, 2, 3}
 
     def test_empty_availability_gives_edgeless_graph(self):
         links = [Link(1, "a", "b", 1.0)]
         net = OpticalNetwork(["a", "b"], links, {1: []}, 2)
-        assert color_graph(net, 1).edges == ()
-        assert color_graph(net, 2).edges == ()
+        assert range_links(net, 1, 1) == set()
+        assert range_links(net, 2, 1) == set()
 
     def test_t2_color1_excludes_occupied_link(self, t2):
-        assert color_graph(t2.network, 1).edge_ids() == {1}
-
-    def test_color_out_of_range(self, t1):
-        with pytest.raises(InputError):
-            color_graph(t1.network, 0)
-        with pytest.raises(InputError):
-            color_graph(t1.network, 3)
+        assert range_links(t2.network, 1, 1) == {1}
 
 
 class TestRangeGraph:
     def test_t2_range_2_2(self, t2):
-        assert range_graph(t2.network, 2, 2).edge_ids() == {1, 2}
+        assert range_links(t2.network, 2, 2) == {1, 2}
 
     def test_t2_range_1_2(self, t2):
-        assert range_graph(t2.network, 1, 2).edge_ids() == {1}
+        assert range_links(t2.network, 1, 2) == {1}
 
-    def test_width_one_equals_color_graph(self, t2):
-        for c in (1, 2, 3):
-            assert range_graph(t2.network, c, 1).edges == color_graph(t2.network, c).edges
+    def test_width_one_equals_single_color(self, t2):
+        avail = availability(t2.network)
+        assert free_windows(avail, 1) == avail.T.tolist()
 
     def test_range_exceeding_spectrum(self, t2):
-        with pytest.raises(InputError):
-            range_graph(t2.network, 3, 2)
+        # C = 3: width-2 ranges start at colors 1 and 2 only
+        assert len(free_windows(availability(t2.network), 2)) == 2
+        assert free_windows(availability(t2.network), 4) == []
 
-    def test_contained_in_every_color_graph(self, t2, t4):
+    def test_contained_in_every_single_color(self, t2, t4):
         for inst in (t2, t4):
             net = inst.network
             for c in range(1, net.slot_count + 1):
                 for w in range(1, net.slot_count - c + 2):
-                    rg = range_graph(net, c, w).edge_ids()
+                    rg = range_links(net, c, w)
                     for cc in range(c, c + w):
-                        assert rg <= color_graph(net, cc).edge_ids()
+                        assert rg <= range_links(net, cc, 1)
 
 
 class TestWalks:

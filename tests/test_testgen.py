@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from flexrsa.io import instance_to_dict, load_instance
+from flexrsa.io import dumps_json, instance_to_dict, load_instance
 from flexrsa.model import Link, OpticalNetwork, paths_intersect
 from flexrsa.testgen import (
     MODULATION_REACH_KM,
@@ -25,6 +27,30 @@ class TestModulationReaches:
             "qpsk": 2500.0,
             "8qam": 1250.0,
         }
+
+
+class TestGolden:
+    """The benchmark corpus: two seed-7 scenarios must keep their exact JSON."""
+
+    @pytest.mark.parametrize(
+        "topology, modulation, broken, kind, first_break, digest",
+        [
+            ("ring14", "qpsk", 1, "first", None,
+             "bd3d9fb78699d0a990f6296831c7e459ff3cdffb8457825e04e1c0ead8334fc1"),
+            ("grid12", "8qam", 12, "second", 7,
+             "8abdb1e572f9ed3cd69ef61a9098b77d732572d99d3d5d6ccd1f56aaacd60bae"),
+        ],
+    )
+    def test_scenario_digest(self, topology, modulation, broken, kind, first_break, digest):
+        loaded = generate_loaded_network(
+            load_topology(topology),
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        scenario = make_scenario(loaded, broken, kind, first_break=first_break)
+        text = dumps_json(instance_to_dict(scenario.instance))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestLoading:

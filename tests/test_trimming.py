@@ -1,16 +1,17 @@
-import pytest
-
-from flexrsa.model import Demand, Link, OpticalNetwork, RestorationInstance, color_graph
+from flexrsa.model import Demand, Link, OpticalNetwork, RestorationInstance
 from flexrsa.oracle import (
     bellman_ford_distances,
     candidate_routings,
     oracle_useful_triples,
-    random_instance,
 )
 from flexrsa.trimming import (
+    INF,
+    adjacency,
+    availability,
     compute_useful_triples,
+    dijkstra,
+    free_windows,
     is_infeasible_by_trimming,
-    shortest_distances,
     triples_to_dict,
 )
 
@@ -22,38 +23,45 @@ def assert_triples_equal(a, b):
     assert a.non_reroutable == b.non_reroutable
 
 
+def color_one_dijkstra(net, root):
+    """Dijkstra from node `root` over the links on which color 1 is free."""
+    active = free_windows(availability(net), 1)[0]
+    lengths = [l.length for l in net.links]
+    return dijkstra(adjacency(net), lengths, active, net.nodes.index(root))
+
+
 class TestShortestDistances:
     def test_t1_from_node1(self, t1):
-        g = color_graph(t1.network, 1)
-        assert shortest_distances(g, 1) == {1: 0.0, 2: 1.0, 3: 2.0}
+        dist, pred = color_one_dijkstra(t1.network, 1)
+        assert dist == [0.0, 1.0, 2.0]
+        assert pred == [-1, 0, 1]  # reaches 3 over link 2, not the long link 3
 
     def test_matches_bellman_ford_on_fixtures(self, t1, t2, t4):
         for inst in (t1, t2, t4):
-            g = color_graph(inst.network, 1)
-            for root in inst.network.nodes:
-                got = shortest_distances(g, root)
-                want = bellman_ford_distances(
-                    [(l.u, l.v, l.length) for l in g.edges], g.nodes, root
-                )
-                finite = {n: d for n, d in want.items() if d != float("inf")}
-                assert got == finite
+            net = inst.network
+            edges = [(l.u, l.v, l.length) for l in net.links if 1 in net.available[l.id]]
+            for root in net.nodes:
+                dist, _ = color_one_dijkstra(net, root)
+                assert dist == [
+                    bellman_ford_distances(edges, net.nodes, root)[n] for n in net.nodes
+                ]
 
     def test_edgeless_graph(self):
         net = OpticalNetwork(["a", "b"], [Link(1, "a", "b", 1.0)], {1: []}, 1)
-        g = color_graph(net, 1)
-        assert shortest_distances(g, "a") == {"a": 0.0}
+        assert color_one_dijkstra(net, "a") == ([0.0, INF], [-1, -1])
 
     def test_parallel_edges_take_minimum(self):
         links = [Link(1, 1, 2, 5.0), Link(2, 1, 2, 2.0)]
         net = OpticalNetwork([1, 2], links, {1: [1], 2: [1]}, 1)
-        g = color_graph(net, 1)
-        assert shortest_distances(g, 1)[2] == 2.0
+        assert color_one_dijkstra(net, 1) == ([0.0, 2.0], [-1, 1])
 
-    def test_unknown_root_rejected(self, t1):
-        from flexrsa.model import InputError
-
-        with pytest.raises(InputError):
-            shortest_distances(color_graph(t1.network, 1), 99)
+    def test_equal_paths_keep_the_first_found(self):
+        # two 2 km routes from 1 to 4; node 2 (lower index) leaves the heap
+        # first, so node 4 is entered over link 4 (edge index 3), not link 3
+        links = [Link(1, 1, 2, 1.0), Link(2, 1, 3, 1.0), Link(3, 3, 4, 1.0), Link(4, 2, 4, 1.0)]
+        net = OpticalNetwork([1, 2, 3, 4], links, {l.id: [1] for l in links}, 1)
+        dist, pred = color_one_dijkstra(net, 1)
+        assert dist[3] == 2.0 and pred[3] == 3
 
 
 class TestComputeUsefulTriples:
@@ -137,8 +145,6 @@ class TestOracleEquivalence:
     def test_witness_reconstruction(self, small_corpus):
         # Tightness: every useful triple is reachable through a concrete walk
         # assembled from shortest-path trees of its witness first color.
-        from flexrsa.model import range_graph
-
         for seed, inst in small_corpus[:20]:
             got = compute_useful_triples(inst)
             for (d_id, link_id, c) in got.useful:
@@ -150,11 +156,16 @@ class TestOracleEquivalence:
                 ]
                 assert firsts, f"seed {seed}: no witness first color for ({d_id},{link_id},{c})"
                 c0 = firsts[0]
-                g = range_graph(inst.network, c0, demand.width)
-                edges = [(l.u, l.v, l.length) for l in g.edges]
-                link = inst.network.link(link_id)
-                ds = bellman_ford_distances(edges, g.nodes, demand.s)
-                dt = bellman_ford_distances(edges, g.nodes, demand.t)
+                net = inst.network
+                needed = range(c0, c0 + demand.width)
+                edges = [  # the range graph of c0
+                    (l.u, l.v, l.length)
+                    for l in net.links
+                    if all(cc in net.available[l.id] for cc in needed)
+                ]
+                link = net.link(link_id)
+                ds = bellman_ford_distances(edges, net.nodes, demand.s)
+                dt = bellman_ford_distances(edges, net.nodes, demand.t)
                 assert (
                     ds[link.u] + link.length + dt[link.v] <= demand.reach
                     or ds[link.v] + link.length + dt[link.u] <= demand.reach
