@@ -19,8 +19,4 @@ from .model import (  # noqa: F401
     is_valid_path,
     paths_intersect,
 )
-from .trimming import (  # noqa: F401
-    UsefulTripleSet,
-    compute_useful_triples,
-    is_infeasible_by_trimming,
-)
+from .trimming import UsefulTripleSet, compute_useful_triples  # noqa: F401

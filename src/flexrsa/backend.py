@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +33,8 @@ TIMELIMIT = "timelimit"
 ERROR = "error"
 
 BUILTIN = "builtin-highs"
+# seconds past twice the time limit before a solver process is killed
+HARD_KILL_GRACE_S = 60.0
 # directory holding the flexrsa package, for the builtin solver's child
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -267,21 +270,33 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         path = PACKAGE_PARENT + (os.pathsep + inherited if inherited else "")
         env = dict(os.environ, PYTHONPATH=path)
 
+    returncode = -1
+    killed = threading.Event()
     try:
         with open(log_file, "w", encoding="utf-8") as log:
-            proc = subprocess.run(
-                cmd,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                timeout=config.time_limit * 2 + 60,
-                check=False,
-                env=env,
+            proc = subprocess.Popen(
+                cmd, stdout=log, stderr=subprocess.STDOUT, env=env
             )
-        returncode = proc.returncode
-        timed_out_hard = False
-    except (subprocess.TimeoutExpired, OSError) as exc:
-        returncode = -1
-        timed_out_hard = isinstance(exc, subprocess.TimeoutExpired)
+    except OSError:
+        pass
+    else:
+        # A blocking wait sees the exit at once, where a wait with a timeout
+        # polls in sleeps of up to 50 ms; the timer enforces the hard limit.
+        def kill():
+            killed.set()
+            proc.kill()
+
+        timer = threading.Timer(config.time_limit * 2 + HARD_KILL_GRACE_S, kill)
+        timer.daemon = True
+        timer.start()
+        try:
+            returncode = proc.wait()
+        except BaseException:  # as subprocess.run: leave no solver running
+            proc.kill()
+            proc.wait()
+            raise
+        finally:
+            timer.cancel()
 
     def finish(status, assignment=None, objective=None, message="") -> SolveOutcome:
         wall = time.perf_counter() - start
@@ -296,7 +311,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
             outcome.log_path = log_file
         return outcome
 
-    if timed_out_hard:
+    if killed.is_set():
         return finish(
             TIMELIMIT, message="solver killed after exceeding twice the time limit"
         )
@@ -323,8 +338,6 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         objective = sum(
             coeff * assignment[key] for key, coeff in model.objective.items()
         )
-    elif status == TIMELIMIT:
-        assignment = None
 
     if status in (OPTIMAL, FEASIBLE) and assignment is None:
         status = ERROR

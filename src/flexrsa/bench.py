@@ -2,6 +2,11 @@
 directory and report a per-cell CSV plus an aggregated Markdown table
 (mean variable counts per variant, mean runtimes per solver/variant pair).
 
+Every cell is one `cli.answer`, the pipeline behind `flexrsa solve`, so a
+cell's status and objective are those of `flexrsa solve` on the same
+instance, variant and mode: maxsubset excludes non-re-routable demands, and
+an optimal or feasible answer that is not certified is `error`.
+
 Instances are `*.json` files; a sibling `<name>.manifest.json` (as written by
 `flexrsa gen`) supplies the grouping metadata (kind, modulation, broken link).
 Rows are sorted by (case, variant, solver), so reruns differ only in the
@@ -15,17 +20,13 @@ import io
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .backend import INFEASIBLE, SolverConfig, solve
-from .extract import ExtractionError, extract_paths, verify_solution
+from . import cli
 from .io import load_instance
-from .milp import build_model, model_statistics
 from .model import InputError
-from .trimming import compute_useful_triples, is_infeasible_by_trimming
 
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",
@@ -70,52 +71,31 @@ def discover_cases(corpus_dir: str) -> list:
 def run_cell(
     case: BenchCase,
     instance,
-    triples,
-    trim_seconds: float,
     variant: str,
     solver: str,
     mode: str,
     time_limit: float,
 ) -> dict:
-    row = {
+    doc = cli.answer(
+        instance, variant, mode, cli.SolverConfig(solver=solver, time_limit=time_limit)
+    )
+    timings = doc["meta"]["timings"]
+    model = doc["meta"].get("model", {})  # absent when trimming proved infeasibility
+    return {
         "case": case.name,
         "kind": case.manifest.get("kind", ""),
         "modulation": case.manifest.get("modulation", ""),
         "broken_link": case.manifest.get("broken_link", ""),
         "variant": variant,
         "solver": solver,
-        "trim_seconds": round(trim_seconds, 6),
+        "variables": model.get("variables", 0),
+        "constraints": model.get("constraints", 0),
+        "trim_seconds": timings["trim_seconds"],
+        "build_seconds": timings.get("build_seconds", 0.0),
+        "solve_seconds": timings.get("solve_seconds", 0.0),
+        "status": cli.reported_status(doc),
+        "objective": "" if doc["objective"] is None else doc["objective"],
     }
-    if mode == "feasibility" and is_infeasible_by_trimming(triples, instance.demands):
-        row.update(
-            variables=0, constraints=0, build_seconds=0.0, solve_seconds=0.0,
-            status=INFEASIBLE, objective="",
-        )
-        return row
-
-    t0 = time.perf_counter()
-    model = build_model(instance, triples, variant, mode)
-    build_seconds = time.perf_counter() - t0
-    stats = model_statistics(model)
-    outcome = solve(model, SolverConfig(solver=solver, time_limit=time_limit))
-    status = outcome.status
-    if outcome.assignment is not None:
-        try:
-            result = extract_paths(outcome.assignment, model, instance)
-            if not verify_solution(result.paths, instance).ok:
-                status = "error"
-        except ExtractionError:
-            if outcome.status == "optimal":
-                status = "error"
-    row.update(
-        variables=stats.variables,
-        constraints=stats.constraints,
-        build_seconds=round(build_seconds, 6),
-        solve_seconds=round(outcome.wall_seconds, 6),
-        status=status,
-        objective="" if outcome.objective is None else outcome.objective,
-    )
-    return row
 
 
 def run_bench(
@@ -126,29 +106,18 @@ def run_bench(
     time_limit: float = 500.0,
     jobs: int = 2,
 ) -> list:
-    cases = discover_cases(corpus_dir)
-    prepared = []
-    for case in cases:
+    cells = []
+    for case in discover_cases(corpus_dir):
         try:
             instance = load_instance(case.path)
         except InputError as exc:
             print(f"bench: skipping {case.path}: {exc}", file=sys.stderr)
             continue
-        t0 = time.perf_counter()
-        triples = compute_useful_triples(instance)
-        trim_seconds = time.perf_counter() - t0
-        prepared.append((case, instance, triples, trim_seconds))
-
-    cells = [
-        (case, instance, triples, trim_seconds, variant, solver)
-        for case, instance, triples, trim_seconds in prepared
-        for variant in variants
-        for solver in solvers
-    ]
+        cells += [(case, instance, v, s) for v in variants for s in solvers]
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         rows = list(
             pool.map(
-                lambda cell: run_cell(*cell[:6], mode=mode, time_limit=time_limit),
+                lambda cell: run_cell(*cell, mode=mode, time_limit=time_limit),
                 cells,
             )
         )

@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: trim, solve, oracle, gen, validate, bench.
+`solve` and `bench` answer through one function, `answer`: trim, build,
+solve, extract, verify. An answer is certified iff its paths were extracted
+and passed `verify_solution`.
 Exit codes for `solve`/`oracle`: 0 feasible, 10 infeasible, 20 time limit,
-1 error, including a `solve` answer whose paths fail verification (its
-solution JSON is still written, with `meta.verified: false`). `validate`
-exits 0 only on a clean report. Every artifact embeds seed, variant, solver
+1 error, including an optimal or feasible `solve` answer that is not
+certified (its solution JSON is still written, with `meta.verified: false`
+and, when extraction failed, `meta.extraction_error`). `validate` exits 0
+only on a clean report. Every artifact embeds seed, variant, solver
 identity and tool version.
 """
 
@@ -18,6 +22,7 @@ import time
 
 from . import __version__
 from .backend import (
+    ERROR,
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
@@ -39,12 +44,18 @@ from .testgen import (
     generate_loaded_network,
     make_scenario,
 )
-from .trimming import compute_useful_triples, is_infeasible_by_trimming, triples_to_dict
+from .trimming import compute_useful_triples, triples_to_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 10
 EXIT_TIMELIMIT = 20
+_EXIT_CODES = {
+    OPTIMAL: EXIT_OK,
+    FEASIBLE: EXIT_OK,
+    INFEASIBLE: EXIT_INFEASIBLE,
+    TIMELIMIT: EXIT_TIMELIMIT,
+}
 
 
 def _emit(doc: dict, out_path):
@@ -80,38 +91,43 @@ def cmd_trim(args) -> int:
         "instance": args.instance,
         "tool_version": __version__,
         "trim_seconds": round(trim_seconds, 6),
-        "infeasible": is_infeasible_by_trimming(triples, instance.demands),
+        "infeasible": bool(triples.non_reroutable),
     }
     _emit(doc, args.output)
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
+def answer(
+    instance: RestorationInstance, variant: str, mode: str, config: SolverConfig
+) -> dict:
+    """The solution document of one instance, for both `solve` and `bench`.
+
+    A non-re-routable demand proves infeasibility in feasibility mode and is
+    excluded in maxsubset mode. `status` is the solver's; `meta.verified` is
+    true iff the paths were extracted and passed `verify_solution`. The
+    layers are called through this module's globals, so a caller can wrap
+    them.
+    """
     t0 = time.perf_counter()
     triples = compute_useful_triples(instance)
     trim_seconds = time.perf_counter() - t0
 
     meta = {
-        "instance": args.instance,
-        "variant": args.variant,
-        "mode": args.mode,
-        "solver": args.solver,
-        "time_limit": args.time_limit,
+        "variant": variant,
+        "mode": mode,
+        "solver": config.solver,
+        "time_limit": config.time_limit,
         "tool_version": __version__,
         "timings": {"trim_seconds": round(trim_seconds, 6)},
         "solver_invoked": False,
     }
 
-    excluded = sorted(
-        d.id for d in instance.demands if d.id in triples.non_reroutable
-    )
-    if args.mode == "feasibility" and excluded:
+    excluded = sorted(triples.non_reroutable)
+    if mode == "feasibility" and excluded:
         meta["proven_by"] = "trimming"
         meta["non_reroutable"] = excluded
-        _emit(solution_to_dict(INFEASIBLE, None, None, None, meta), args.output)
-        return EXIT_INFEASIBLE
-    if args.mode == "maxsubset" and excluded:
+        return solution_to_dict(INFEASIBLE, None, None, None, meta)
+    if mode == "maxsubset" and excluded:
         meta["excluded_non_reroutable"] = excluded
         instance = RestorationInstance(
             instance.network,
@@ -120,17 +136,11 @@ def cmd_solve(args) -> int:
         triples = compute_useful_triples(instance)
 
     t0 = time.perf_counter()
-    model = build_model(instance, triples, args.variant, args.mode)
+    model = build_model(instance, triples, variant, mode)
     build_seconds = time.perf_counter() - t0
     meta["timings"]["build_seconds"] = round(build_seconds, 6)
     meta["model"] = model_statistics(model).to_dict()
 
-    config = SolverConfig(
-        solver=args.solver,
-        time_limit=args.time_limit,
-        workdir=args.workdir,
-        keep_files=args.keep_files,
-    )
     outcome = backend_solve(model, config)
     meta["solver_invoked"] = outcome.solver_name != "trivial"
     meta["solver_name"] = outcome.solver_name
@@ -143,24 +153,34 @@ def cmd_solve(args) -> int:
     if outcome.assignment is not None:
         try:
             result = extract_paths(outcome.assignment, model, instance, triples)
-            report = verify_solution(result.paths, instance)
-            meta["verified"] = report.ok
         except ExtractionError as exc:
-            if outcome.status == OPTIMAL:
-                raise
-            meta["extraction_error"] = str(exc)  # non-optimal incumbents only
+            meta["extraction_error"] = str(exc)
+        else:
+            report = verify_solution(result.paths, instance)
+        meta["verified"] = report is not None and report.ok
+    return solution_to_dict(outcome.status, outcome.objective, result, report, meta)
 
-    _emit(
-        solution_to_dict(outcome.status, outcome.objective, result, report, meta),
-        args.output,
+
+def reported_status(doc: dict) -> str:
+    """The answer's status, except that an optimal or feasible answer that
+    is not certified is an error."""
+    if doc["status"] in (OPTIMAL, FEASIBLE) and not doc["meta"].get("verified"):
+        return ERROR
+    return doc["status"]
+
+
+def cmd_solve(args) -> int:
+    instance = load_instance(args.instance)
+    config = SolverConfig(
+        solver=args.solver,
+        time_limit=args.time_limit,
+        workdir=args.workdir,
+        keep_files=args.keep_files,
     )
-    if outcome.status in (OPTIMAL, FEASIBLE):
-        return EXIT_OK if report is not None and report.ok else EXIT_ERROR
-    if outcome.status == INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if outcome.status == TIMELIMIT:
-        return EXIT_TIMELIMIT
-    return EXIT_ERROR
+    doc = answer(instance, args.variant, args.mode, config)
+    doc["meta"] = {"instance": args.instance, **doc["meta"]}
+    _emit(doc, args.output)
+    return _EXIT_CODES.get(reported_status(doc), EXIT_ERROR)
 
 
 def cmd_oracle(args) -> int:

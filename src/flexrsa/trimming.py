@@ -163,12 +163,6 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     )
 
 
-def is_infeasible_by_trimming(triples: UsefulTripleSet, demands) -> bool:
-    """True iff some given demand is non re-routable (proves infeasibility)."""
-    ids = {d.id for d in demands}
-    return bool(ids & set(triples.non_reroutable))
-
-
 def triples_to_dict(triples: UsefulTripleSet, instance: RestorationInstance) -> dict:
     """JSON form emitted by the `trim` CLI subcommand."""
     net = instance.network

@@ -23,6 +23,7 @@ from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.trimming import compute_useful_triples
+from tests_support import canned_solver
 
 BUILTIN = SolverConfig(solver="builtin", time_limit=60)
 
@@ -101,23 +102,6 @@ class TestSolverResolution:
             resolve_solver("gurobi")
 
 
-def canned_solver(tmp_path, body):
-    """Command template writing a canned solution file via python -c."""
-    script = tmp_path / "fake_solver.py"
-    script.write_text(
-        textwrap.dedent(
-            """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write(open(sys.argv[3]).read())
-            """
-        )
-    )
-    canned = tmp_path / "canned.sol"
-    canned.write_text(body)
-    return f"cmd:{sys.executable} {script} {{lp_file}} {{sol_file}} {canned}"
-
-
 class TestCannedOutcomes:
     def test_timelimit_with_incumbent(self, t1, tmp_path):
         model = trimmed(t1)
@@ -166,6 +150,15 @@ class TestCannedOutcomes:
         )
         assert out.status == ERROR
         assert "no solution file" in out.message
+
+    def test_hung_solver_is_killed_at_the_hard_limit(self, t1, monkeypatch):
+        monkeypatch.setattr("flexrsa.backend.HARD_KILL_GRACE_S", 0.0)
+        hung = f'cmd:{sys.executable} -c "import time; time.sleep(30)" {{lp_file}} {{sol_file}}'
+        start = time.perf_counter()
+        out = solve(trimmed(t1), SolverConfig(solver=hung, time_limit=0.1))
+        assert time.perf_counter() - start < 10
+        assert out.status == TIMELIMIT
+        assert out.message.startswith("solver killed")
 
 
 class TestScipSolutionParsing:

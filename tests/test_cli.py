@@ -5,8 +5,10 @@ import os
 import pytest
 
 from flexrsa.cli import main
-from flexrsa.extract import extract_paths
+from flexrsa.extract import ExtractionError, extract_paths
 from flexrsa.io import save_instance
+from flexrsa.model import Demand, RestorationInstance
+from tests_support import canned_solver
 
 
 @pytest.fixture
@@ -88,6 +90,23 @@ class TestSolve:
         doc = read_json(out)
         assert doc["status"] == "optimal"
         assert doc["meta"]["verified"] is False
+
+    def test_failed_extraction_exits_one(self, t1_file, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ExtractionError(1, "no flow assigned")
+
+        monkeypatch.setattr("flexrsa.cli.extract_paths", broken)
+        out = tmp_path / "sol.json"
+        code = main(
+            ["solve", t1_file, "--solver", "builtin", "--time-limit", "60",
+             "-o", str(out)]
+        )
+        assert code == 1
+        doc = read_json(out)
+        assert doc["status"] == "optimal"
+        assert doc["paths"] == []
+        assert doc["meta"]["verified"] is False
+        assert doc["meta"]["extraction_error"] == "demand 1: no flow assigned"
 
     def test_t3_exit_ten(self, t3_file, tmp_path):
         out = tmp_path / "sol.json"
@@ -239,6 +258,11 @@ class TestGenAndValidate:
         ) == 1
 
 
+def read_csv_rows(path):
+    lines = path.read_text().splitlines()
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+
 class TestBench:
     def test_tiny_corpus(self, tmp_path, t1, t3):
         corpus = tmp_path / "corpus"
@@ -259,7 +283,7 @@ class TestBench:
             "constraints,trim_seconds,build_seconds,solve_seconds,status,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
-        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        rows = read_csv_rows(csv_path)
         t1_rows = [r for r in rows if r["case"] == "t1"]
         assert {r["status"] for r in t1_rows} == {"optimal"}
         assert {r["objective"] for r in t1_rows} == {"2"}
@@ -282,6 +306,53 @@ class TestBench:
         assert "skipping" in capsys.readouterr().err
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert len(lines) == 2  # header + the one real instance
+
+    def test_maxsubset_excludes_non_reroutable_as_solve_does(self, t1, tmp_path):
+        # demand 2 (1 -> 3) cannot reach its target within 0.5 km
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        instance = RestorationInstance(
+            t1.network, t1.demands + (Demand(2, 1, 3, 1, 0.5),)
+        )
+        save_instance(instance, str(corpus / "tri.json"))
+        sol = tmp_path / "sol.json"
+        assert main(
+            ["solve", str(corpus / "tri.json"), "--mode", "maxsubset",
+             "--solver", "builtin", "--time-limit", "60", "-o", str(sol)]
+        ) == 0
+        solved = read_json(sol)
+        assert solved["meta"]["excluded_non_reroutable"] == [2]
+
+        csv_path = tmp_path / "b.csv"
+        assert main(
+            ["bench", str(corpus), "--mode", "maxsubset", "--variants", "trimmed",
+             "--solvers", "builtin", "--time-limit", "60", "--csv", str(csv_path),
+             "--md", str(tmp_path / "b.md")]
+        ) == 0
+        (row,) = read_csv_rows(csv_path)
+        assert row["status"] == solved["status"] == "optimal"
+        assert float(row["objective"]) == solved["objective"]
+
+    def test_uncertified_feasible_answer_is_error(self, t1, tmp_path):
+        # the incumbent leaves the source on two links: no path can be extracted
+        solver = canned_solver(
+            tmp_path,
+            "Feasible - objective value 2\n"
+            "0 x_d1_l1_f_c1 1 0\n"
+            "1 x_d1_l3_f_c1 1 0\n",
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_instance(t1, str(corpus / "t1.json"))
+        csv_path = tmp_path / "b.csv"
+        assert main(
+            ["bench", str(corpus), "--variants", "notrim", "--solvers", solver,
+             "--time-limit", "60", "--csv", str(csv_path),
+             "--md", str(tmp_path / "b.md")]
+        ) == 0
+        (row,) = read_csv_rows(csv_path)
+        assert row["status"] == "error"
+        assert row["objective"] == "2"
 
 
 class TestVersionAndErrors:

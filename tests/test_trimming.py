@@ -11,7 +11,6 @@ from flexrsa.trimming import (
     compute_useful_triples,
     dijkstra,
     free_windows,
-    is_infeasible_by_trimming,
     triples_to_dict,
 )
 
@@ -174,17 +173,14 @@ class TestOracleEquivalence:
 
 class TestInfeasibleShortcut:
     def test_low_reach_proves_infeasible(self, t1_low_reach):
-        triples = compute_useful_triples(t1_low_reach)
-        assert is_infeasible_by_trimming(triples, t1_low_reach.demands)
+        assert compute_useful_triples(t1_low_reach).non_reroutable == {1}
 
     def test_feasible_fixture(self, t1):
-        triples = compute_useful_triples(t1)
-        assert not is_infeasible_by_trimming(triples, t1.demands)
+        assert not compute_useful_triples(t1).non_reroutable
 
     def test_empty_demand_set(self, t1):
         inst = RestorationInstance(t1.network, ())
-        triples = compute_useful_triples(inst)
-        assert not is_infeasible_by_trimming(triples, ())
+        assert not compute_useful_triples(inst).non_reroutable
 
 
 class TestTrimJson:
