@@ -1,13 +1,14 @@
-"""External-solver driver: emit LP text, run a subprocess, parse the solution.
+"""Solver driver: builtin in process, the others by LP text and a subprocess.
 
 Solvers are addressed by name ("cbc", "scip", "builtin") or by a custom
 command template ("cmd:mysolver {lp_file} {sol_file} {time_limit}"); "auto"
-picks cbc, then scip, then the bundled scipy/HiGHS driver. Executable paths
-can be overridden with FLEXRSA_CBC / FLEXRSA_SCIP. Custom templates must
-write a CBC-style solution file.
+picks cbc, then scip, then builtin: scipy's HiGHS in this process, fed
+straight from the model (`flexrsa.lp_driver`). Executable paths can be
+overridden with FLEXRSA_CBC / FLEXRSA_SCIP. Custom templates must write a
+CBC-style solution file.
 
-Solves are isolated per working directory, so any number may run
-concurrently.
+Solves are isolated per working directory, and HiGHS releases the GIL, so
+any number may run concurrently, in threads too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import os
 import shlex
 import shutil
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -35,8 +35,6 @@ ERROR = "error"
 BUILTIN = "builtin-highs"
 # seconds past twice the time limit before a solver process is killed
 HARD_KILL_GRACE_S = 60.0
-# directory holding the flexrsa package, for the builtin solver's child
-PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class SolverNotFound(RuntimeError):
@@ -51,7 +49,8 @@ class SolverConfig:
     time_limit: seconds handed to the solver (default mirrors the 500 s
         benchmark budget).
     workdir: where LP/solution files go; None means a fresh temp directory.
-    keep_files: keep LP/solution/log files even on success.
+    keep_files: keep LP/solution/log files even on success. The builtin
+        solver writes files only then: model.lp and a summary solver.log.
     """
 
     solver: str = "auto"
@@ -89,7 +88,7 @@ def _which(name: str, env_var: str) -> Optional[str]:
 
 
 def resolve_solver(solver: str):
-    """Return (name, argv template with {lp_file}/{sol_file}/{time_limit})."""
+    """Return (name, argv template); None for the in-process builtin solver."""
     if solver.startswith("cmd:"):
         template = solver[4:]
         if "{lp_file}" not in template or "{sol_file}" not in template:
@@ -125,10 +124,7 @@ def resolve_solver(solver: str):
             "-c", "quit",
         ]
     if solver == "builtin":
-        return BUILTIN, [
-            sys.executable, "-m", "flexrsa.lp_driver",
-            "{lp_file}", "{sol_file}", "{time_limit}",
-        ]
+        return BUILTIN, None
     if solver == "auto":
         for candidate in ("cbc", "scip", "builtin"):
             try:
@@ -236,17 +232,38 @@ def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
     return SolveOutcome(OPTIMAL, {}, 0.0, 0.0, "trivial")
 
 
-def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
-    """Emit the model, run the configured solver, and parse the outcome.
+def _rounded(model: MilpModel, status: str, objective, value_of):
+    """(status, assignment, objective, message) from raw solver values, with
+    value_of(key) -> value (None: no solution); the objective is recomputed."""
+    assignment = None
+    if value_of is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
+        assignment = {}
+        for key in model.variables:
+            value = value_of(key)
+            if 0.01 < value < 0.99:
+                return ERROR, None, None, f"non-integral binary {var_name(key)}={value}"
+            assignment[key] = 1 if value >= 0.5 else 0
+        objective = sum(
+            coeff * assignment[key] for key, coeff in model.objective.items()
+        )
+    if status in (OPTIMAL, FEASIBLE) and assignment is None:
+        status = ERROR
+    return status, assignment, objective, ""
 
-    wall_seconds covers the whole round trip: LP emission, the solver process
-    and the parsing of its solution file.
+
+def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
+    """Run the configured solver on the model and parse the outcome.
+
+    wall_seconds covers the whole solve: for a subprocess solver, LP
+    emission, the process and the parsing of its solution file.
     """
     if not model.variables:
         return _evaluate_without_solver(model)
 
     start = time.perf_counter()
     solver_name, template = resolve_solver(config.solver)
+    if template is None:
+        return _solve_builtin(model, config, start)
     owns_dir = config.workdir is None
     workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
     os.makedirs(workdir, exist_ok=True)
@@ -263,20 +280,12 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         "time_limit": f"{config.time_limit:g}",
     }
     cmd = [arg.format(**subst) for arg in template]
-    env = None
-    if solver_name == BUILTIN:
-        # the child imports the same flexrsa as this process, however found
-        inherited = os.environ.get("PYTHONPATH")
-        path = PACKAGE_PARENT + (os.pathsep + inherited if inherited else "")
-        env = dict(os.environ, PYTHONPATH=path)
 
     returncode = -1
     killed = threading.Event()
     try:
         with open(log_file, "w", encoding="utf-8") as log:
-            proc = subprocess.Popen(
-                cmd, stdout=log, stderr=subprocess.STDOUT, env=env
-            )
+            proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
     except OSError:
         pass
     else:
@@ -324,22 +333,37 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         text = fh.read()
     parser = parse_scip_solution if solver_name == "scip" else parse_cbc_solution
     status, objective, values = parser(text)
+    value_of = None if values is None else lambda key: values.get(var_name(key), 0.0)
+    return finish(*_rounded(model, status, objective, value_of))
 
-    assignment = None
-    if values is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
-        assignment = {}
-        for key in model.variables:
-            value = values.get(var_name(key), 0.0)
-            if 0.01 < value < 0.99:
-                return finish(
-                    ERROR, message=f"non-integral binary {var_name(key)}={value}"
-                )
-            assignment[key] = 1 if value >= 0.5 else 0
-        objective = sum(
-            coeff * assignment[key] for key, coeff in model.objective.items()
-        )
 
-    if status in (OPTIMAL, FEASIBLE) and assignment is None:
-        status = ERROR
+def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> SolveOutcome:
+    """HiGHS in this process, straight from the model. Files only with
+    keep_files: model.lp and a summary solver.log."""
+    from .lp_driver import solve_highs  # deferred: it imports this module, and scipy
 
-    return finish(status, assignment, objective)
+    workdir = None
+    if config.keep_files:
+        workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
+        os.makedirs(workdir, exist_ok=True)
+        with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
+            fh.write(emit_lp_text(model))
+    rows = ((con.coeffs, con.relation, con.rhs) for con in model.constraints)
+    result = solve_highs(
+        model.variables, model.objective, rows, model.fixed_zero, config.time_limit
+    )
+    value_of = None
+    if result.values is not None:
+        value_of = dict(zip(model.variables, result.values)).get
+    status, assignment, objective, message = _rounded(
+        model, result.status, result.objective, value_of
+    )
+    outcome = SolveOutcome(
+        status, assignment, objective, time.perf_counter() - start, BUILTIN,
+        message=message or result.message,
+    )
+    if workdir is not None:
+        outcome.log_path = os.path.join(workdir, "solver.log")
+        with open(outcome.log_path, "w", encoding="utf-8") as fh:
+            fh.write(result.summary)
+    return outcome

@@ -1,6 +1,7 @@
 """Benchmark harness: run (instance x variant x solver) cells over a corpus
 directory and report a per-cell CSV plus an aggregated Markdown table
-(mean variable counts per variant, mean runtimes per solver/variant pair).
+(mean variable counts per variant, mean runtimes per solver/variant pair,
+over the cells that built a model: trimming may prove infeasibility first).
 
 Every cell is one `cli.answer`, the pipeline behind `flexrsa solve`, so a
 cell's status and objective are those of `flexrsa solve` on the same
@@ -80,7 +81,7 @@ def run_cell(
         instance, variant, mode, cli.SolverConfig(solver=solver, time_limit=time_limit)
     )
     timings = doc["meta"]["timings"]
-    model = doc["meta"].get("model", {})  # absent when trimming proved infeasibility
+    model = doc["meta"].get("model", {})  # none when trimming proved infeasibility
     return {
         "case": case.name,
         "kind": case.manifest.get("kind", ""),
@@ -88,11 +89,11 @@ def run_cell(
         "broken_link": case.manifest.get("broken_link", ""),
         "variant": variant,
         "solver": solver,
-        "variables": model.get("variables", 0),
-        "constraints": model.get("constraints", 0),
+        "variables": model.get("variables", ""),
+        "constraints": model.get("constraints", ""),
         "trim_seconds": timings["trim_seconds"],
-        "build_seconds": timings.get("build_seconds", 0.0),
-        "solve_seconds": timings.get("solve_seconds", 0.0),
+        "build_seconds": timings.get("build_seconds", ""),
+        "solve_seconds": timings.get("solve_seconds", ""),
         "status": cli.reported_status(doc),
         "objective": "" if doc["objective"] is None else doc["objective"],
     }
@@ -135,7 +136,7 @@ def rows_to_csv(rows: list) -> str:
 
 
 def _mean(values) -> Optional[float]:
-    values = [v for v in values if v is not None]
+    values = [v for v in values if v != ""]  # "": a cell with no model
     return sum(values) / len(values) if values else None
 
 
@@ -183,7 +184,10 @@ def rows_to_markdown(rows: list, cases: list, exclude_over: Optional[float] = No
 
     out = build_table(rows, "All test cases")
     if exclude_over is not None:
-        kept = [r for r in rows if r["solve_seconds"] <= exclude_over]
+        kept = [
+            r for r in rows
+            if r["solve_seconds"] == "" or r["solve_seconds"] <= exclude_over
+        ]
         out += build_table(
             kept, f"Excluding cells over {exclude_over:g} s"
         )

@@ -129,11 +129,11 @@ def answer(
         return solution_to_dict(INFEASIBLE, None, None, None, meta)
     if mode == "maxsubset" and excluded:
         meta["excluded_non_reroutable"] = excluded
+        # trimming is per demand: the triples of the kept demands stay valid
         instance = RestorationInstance(
             instance.network,
             tuple(d for d in instance.demands if d.id not in excluded),
         )
-        triples = compute_useful_triples(instance)
 
     t0 = time.perf_counter()
     model = build_model(instance, triples, variant, mode)

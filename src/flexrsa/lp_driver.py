@@ -1,149 +1,119 @@
-"""Bundled MILP subprocess: solve an LP-format file with scipy's HiGHS.
+"""The builtin solver: scipy's HiGHS, in the calling process.
 
-Invoked as::
-
-    python -m flexrsa.lp_driver <model.lp> <out.sol> [time_limit_seconds]
-
+`solve_highs` is the one way from rows to a HiGHS matrix. `backend.solve`
+hands it a model's variables and constraints for `--solver builtin`;
+`solve_lp_file` hands it an LP file read back with `lpformat.parse_lp_text`
 and writes a CBC-style solution file (status line, then one row per variable:
-index, name, value, reduced cost). The HiGHS log goes to standard output,
-which the backend keeps as `solver.log`. This keeps the solver behind the
-same file + subprocess seam as cbc/scip, so the backend needs no linked
-library.
+index, name, value, reduced cost), so an emitted LP can be solved and checked
+without the model.
 """
 
 from __future__ import annotations
 
-import sys
+import time
+from typing import NamedTuple, Optional
 
-from .lpformat import ParsedLp, parse_lp_text
+import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+from .backend import ERROR, INFEASIBLE, OPTIMAL, TIMELIMIT
+from .lpformat import parse_lp_text
+
+# scipy.optimize.milp status -> outcome status; any other is an error
+_STATUS = {0: OPTIMAL, 1: TIMELIMIT, 2: INFEASIBLE}
 
 
-def _write_solution(path: str, header: str, names=(), values=()) -> None:
-    lines = [header]
-    for i, (name, value) in enumerate(zip(names, values)):
-        lines.append(f"{i:7d} {name} {value:.12g} 0")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+class HighsOutcome(NamedTuple):
+    status: str
+    values: Optional[list]  # one per column, None without a solution
+    objective: Optional[float]
+    message: str  # why it failed; empty unless the status is error
+    summary: str  # status, message, gap, bound, nodes and wall time, one a line
 
 
-def _solve_without_variables(parsed: ParsedLp, sol_path: str) -> int:
-    ok = True
-    for _tag, coeffs, rel, rhs in parsed.constraints:
-        if coeffs:
-            ok = False
-            break
-        lhs = 0.0
-        if rel == "=" and lhs != rhs:
-            ok = False
-        elif rel == "<=" and lhs > rhs:
-            ok = False
-        elif rel == ">=" and lhs < rhs:
-            ok = False
-    if ok:
-        _write_solution(
-            sol_path, f"Optimal - objective value {parsed.objective_constant:.12g}"
+def solve_highs(columns, objective, rows, fixed_zero, time_limit: float) -> HighsOutcome:
+    """Minimize over binary columns with HiGHS (`mip_rel_gap` 0).
+
+    columns: the column keys, in order; objective: {key: coefficient};
+    rows: iterable of ({key: coefficient}, "<=" | "=" | ">=", rhs);
+    fixed_zero: the keys whose column is fixed at 0. A solver exception is
+    an `error` outcome with its text as the message.
+    """
+    index = {key: i for i, key in enumerate(columns)}
+    n = len(index)
+    c = np.zeros(n)
+    for key, coeff in objective.items():
+        c[index[key]] = coeff
+    ub = np.ones(n)
+    for key in fixed_zero:
+        ub[index[key]] = 0.0
+
+    indptr, indices, data, lower, upper = [0], [], [], [], []
+    for coeffs, relation, rhs in rows:
+        for key, coeff in coeffs.items():
+            if coeff:
+                indices.append(index[key])
+                data.append(coeff)
+        indptr.append(len(indices))
+        lower.append(-np.inf if relation == "<=" else rhs)
+        upper.append(np.inf if relation == ">=" else rhs)
+    a = sparse.csr_array((data, indices, indptr), shape=(len(lower), n))
+
+    start = time.perf_counter()
+    try:
+        res = milp(
+            c,
+            constraints=[LinearConstraint(a, lower, upper)],
+            integrality=np.ones(n),
+            bounds=Bounds(np.zeros(n), ub),
+            options={"disp": False, "time_limit": float(time_limit), "mip_rel_gap": 0.0},
         )
-    else:
-        _write_solution(sol_path, "Infeasible - objective value 0")
-    return 0
+    except Exception as exc:  # a solver failure is an outcome, never a traceback
+        message = f"{type(exc).__name__}: {exc}"
+        summary = f"status: {ERROR}\nmessage: {message}\n"
+        return HighsOutcome(ERROR, None, None, message, summary)
+    seconds = time.perf_counter() - start
+
+    status = _STATUS.get(res.status, ERROR)
+    summary = (
+        f"status: {status} (scipy status {res.status})\nmessage: {res.message}\n"
+        f"mip_gap: {res.get('mip_gap')}\nmip_dual_bound: {res.get('mip_dual_bound')}\n"
+        f"mip_node_count: {res.get('mip_node_count')}\nwall_seconds: {seconds:.6f}\n"
+    )
+    if status == ERROR:
+        return HighsOutcome(ERROR, None, None, res.message, summary)
+    if status == INFEASIBLE or res.x is None:
+        return HighsOutcome(status, None, None, "", summary)
+    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary)
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
+    """Solve an LP file as the builtin solver would; write a CBC-style
+    solution file and return 0."""
     with open(lp_path, "r", encoding="utf-8") as fh:
         parsed = parse_lp_text(fh.read())
     if parsed.sense != "min":
         raise ValueError("driver only handles minimization")
+    if any(bounds != (0.0, 0.0) for bounds in parsed.fixed.values()):
+        raise ValueError("driver only handles columns fixed at 0")
 
     names = list(dict.fromkeys(parsed.binary))
-    if not names:
-        return _solve_without_variables(parsed, sol_path)
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-
-    c = np.zeros(n)
-    for name, coeff in parsed.objective.items():
-        c[index[name]] = coeff
-
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    for name, (lo, hi) in parsed.fixed.items():
-        lb[index[name]] = lo
-        ub[index[name]] = hi
-
-    constraints = []
-    if parsed.constraints:
-        data, rows, cols_ = [], [], []
-        con_lb, con_ub = [], []
-        for r, (_tag, coeffs, rel, rhs) in enumerate(parsed.constraints):
-            for name, coeff in coeffs.items():
-                rows.append(r)
-                cols_.append(index[name])
-                data.append(coeff)
-            if rel == "=":
-                con_lb.append(rhs)
-                con_ub.append(rhs)
-            elif rel == "<=":
-                con_lb.append(-np.inf)
-                con_ub.append(rhs)
-            else:
-                con_lb.append(rhs)
-                con_ub.append(np.inf)
-        a = sparse.csc_array(
-            (data, (rows, cols_)), shape=(len(parsed.constraints), n)
-        )
-        constraints = [LinearConstraint(a, con_lb, con_ub)]
-
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=np.ones(n),
-        bounds=Bounds(lb, ub),
-        options={"disp": True, "time_limit": float(time_limit), "mip_rel_gap": 0.0},
-    )
-
-    if res.status == 0:
-        objective = float(res.fun) + parsed.objective_constant
-        _write_solution(
-            sol_path,
-            f"Optimal - objective value {objective:.12g}",
-            names,
-            res.x,
-        )
-    elif res.status == 2:
-        _write_solution(sol_path, "Infeasible - objective value 0")
-    elif res.status == 1:
-        if res.x is not None:
-            objective = float(res.fun) + parsed.objective_constant
-            _write_solution(
-                sol_path,
-                f"Stopped on time limit - objective value {objective:.12g}",
-                names,
-                res.x,
-            )
-        else:
-            _write_solution(sol_path, "Stopped on time limit (no solution)")
-    elif res.status == 3:
-        _write_solution(sol_path, "Unbounded")
+    rows = ((coeffs, rel, rhs) for _tag, coeffs, rel, rhs in parsed.constraints)
+    outcome = solve_highs(names, parsed.objective, rows, parsed.fixed, time_limit)
+    if outcome.values is not None:
+        objective = outcome.objective + parsed.objective_constant
+        head = {OPTIMAL: "Optimal", TIMELIMIT: "Stopped on time limit"}[outcome.status]
+        header = f"{head} - objective value {objective:.12g}"
+    elif outcome.status == INFEASIBLE:
+        header = "Infeasible - objective value 0"
+    elif outcome.status == TIMELIMIT:
+        header = "Stopped on time limit (no solution)"
     else:
-        _write_solution(sol_path, f"Error - {res.message}")
+        header = f"Error - {outcome.message}"
+    lines = [header]
+    for i, (name, value) in enumerate(zip(names, outcome.values or ())):
+        lines.append(f"{i:7d} {name} {value:.12g} 0")
+    with open(sol_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (2, 3):
-        print(
-            "usage: python -m flexrsa.lp_driver <model.lp> <out.sol> [time_limit]",
-            file=sys.stderr,
-        )
-        return 2
-    time_limit = float(argv[2]) if len(argv) == 3 else 1e30
-    return solve_lp_file(argv[0], argv[1], time_limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

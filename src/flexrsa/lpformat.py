@@ -7,7 +7,7 @@ encode the variable key bijectively:
     x_d<demand>_l<link>_<f|b>_c<color>   flow on a directed link and color
     y_d<demand>                          maxsubset selector
 
-The reader is used by the bundled solver driver and by the round-trip tests;
+The reader is used by `lp_driver.solve_lp_file` and by the round-trip tests;
 it recovers the exact coefficient maps (zero-coefficient placeholder terms are
 dropped, constants are folded into the right-hand side).
 """

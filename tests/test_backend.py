@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -65,7 +66,31 @@ class TestBuiltinSolver:
         assert out.status == INFEASIBLE
         assert "srcout_d1" in out.message
 
-    def test_driver_directly(self, t1, tmp_path):
+    def test_starts_no_process(self, t1, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("the builtin solver started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        out = solve(trimmed(t1), BUILTIN)
+        assert out.status == OPTIMAL
+        assert out.objective == 2
+
+    def test_solver_exception_is_error_outcome(self, t1, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bad matrix")
+
+        monkeypatch.setattr("flexrsa.lp_driver.milp", broken)
+        out = solve(trimmed(t1), BUILTIN)
+        assert out.status == ERROR
+        assert out.message == "ValueError: bad matrix"
+
+    def test_time_limit_without_incumbent(self, t1):
+        # HiGHS stops before it has any solution
+        out = solve(trimmed(t1), SolverConfig(solver="builtin", time_limit=1e-9))
+        assert out.status == TIMELIMIT
+        assert out.assignment is None
+
+    def test_driver_directly(self, t1, small_corpus, tmp_path):
         lp = tmp_path / "m.lp"
         sol = tmp_path / "m.sol"
         lp.write_text(emit_lp_text(trimmed(t1)))
@@ -74,13 +99,34 @@ class TestBuiltinSolver:
         assert status == OPTIMAL
         assert objective == 2
         assert sum(values.values()) == 2
+        # the LP file path gives the status and objective of the in-process solve
+        for seed, inst in small_corpus:
+            triples = compute_useful_triples(inst)
+            for mode in ("feasibility", "maxsubset"):
+                kept = inst
+                if mode == "maxsubset":
+                    kept = RestorationInstance(
+                        inst.network,
+                        tuple(d for d in inst.demands if d.id not in triples.non_reroutable),
+                    )
+                for variant in ("base", "notrim", "trimmed"):
+                    model = build_model(kept, triples, variant, mode)
+                    if not model.variables:
+                        continue
+                    lp.write_text(emit_lp_text(model))
+                    solve_lp_file(str(lp), str(sol), 30.0)
+                    status, objective, values = parse_cbc_solution(sol.read_text())
+                    out = solve(model, BUILTIN)
+                    assert status == out.status, (seed, mode, variant)
+                    if status == OPTIMAL:
+                        assert round(objective) == out.objective
+                        assert len(values) == len(model.variables)
 
 
 class TestSolverResolution:
     def test_builtin_always_available(self):
-        name, template = resolve_solver("builtin")
-        assert name == "builtin-highs"
-        assert "{lp_file}" in " ".join(template)
+        # in process: no command to run
+        assert resolve_solver("builtin") == ("builtin-highs", None)
 
     def test_missing_cbc_actionable(self, monkeypatch):
         monkeypatch.setenv("PATH", "/nonexistent")
@@ -217,17 +263,37 @@ class TestWorkdirHandling:
         cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"), keep_files=True)
         out = solve(trimmed(t1), cfg)
         assert out.status == OPTIMAL
-        assert (tmp_path / "w" / "model.lp").exists()
-        assert (tmp_path / "w" / "model.sol").exists()
+        assert sorted(os.listdir(tmp_path / "w")) == ["model.lp", "solver.log"]
+        # a subprocess solver also leaves its solution file
+        body = "Optimal - objective value 2\n0 x_d1_l1_f_c1 1 0\n1 x_d1_l2_f_c1 1 0\n"
+        cfg = SolverConfig(
+            solver=canned_solver(tmp_path, body), time_limit=30,
+            workdir=str(tmp_path / "c"), keep_files=True,
+        )
+        assert solve(trimmed(t1), cfg).status == OPTIMAL
+        assert (tmp_path / "c" / "model.lp").exists()
+        assert (tmp_path / "c" / "model.sol").exists()
 
     def test_keep_files_keeps_a_nonempty_solver_log(self, t1, tmp_path):
         cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"), keep_files=True)
         assert solve(trimmed(t1), cfg).status == OPTIMAL
-        assert (tmp_path / "w" / "solver.log").read_text().strip()
+        log = (tmp_path / "w" / "solver.log").read_text()
+        assert log.startswith("status: optimal")
+        assert "mip_node_count" in log
 
-    def test_temp_dir_cleaned_on_success(self, t1):
-        out = solve(trimmed(t1), BUILTIN)
+    def test_temp_dir_cleaned_on_success(self, t1, tmp_path, monkeypatch):
+        cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"))
+        out = solve(trimmed(t1), cfg)
         assert out.log_path is None
+        assert not (tmp_path / "w").exists()  # the builtin solver wrote nothing
+        # a subprocess solver removes the temp directory it made
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        body = "Optimal - objective value 2\n0 x_d1_l1_f_c1 1 0\n1 x_d1_l2_f_c1 1 0\n"
+        cfg = SolverConfig(solver=canned_solver(tmp_path, body), time_limit=30)
+        out = solve(trimmed(t1), cfg)
+        assert out.status == OPTIMAL
+        assert out.log_path is None
+        assert not list(tmp_path.glob("flexrsa-*"))
 
 
 class TestRoundTrip:

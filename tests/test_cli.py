@@ -68,6 +68,12 @@ class TestSolve:
         assert doc["meta"]["solver_invoked"] is True
         assert doc["meta"]["model"]["variables"] == 8
 
+    def test_stdout_holds_one_json_document(self, t1_file, capfd):
+        # fd level: HiGHS would print from C, past sys.stdout
+        assert main(["solve", t1_file, "--solver", "builtin", "--time-limit", "60"]) == 0
+        doc = json.loads(capfd.readouterr().out)
+        assert doc["status"] == "optimal"
+
     def test_failed_verification_exits_one(self, t1_file, tmp_path, monkeypatch):
         def shifted(*args, **kwargs):
             # move each slot block one slot out of T1's spectrum {1, 2}
@@ -291,6 +297,28 @@ class TestBench:
         assert {r["status"] for r in t3_rows} == {"infeasible"}
         md = md_path.read_text()
         assert "Vars trimmed" in md and "Excluding cells over 100" in md
+
+    def test_means_leave_out_cells_with_no_model(self, tmp_path, t1, t1_low_reach):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_instance(t1, str(corpus / "solved.json"))
+        save_instance(t1_low_reach, str(corpus / "trimmed_away.json"))
+        csv_path = tmp_path / "b.csv"
+        md_path = tmp_path / "b.md"
+        assert main(
+            ["bench", str(corpus), "--variants", "trimmed", "--solvers", "builtin",
+             "--time-limit", "60", "--csv", str(csv_path), "--md", str(md_path),
+             "--exclude-over", "100"]
+        ) == 0
+        rows = {r["case"]: r for r in read_csv_rows(csv_path)}
+        assert rows["trimmed_away"]["status"] == "infeasible"
+        assert rows["trimmed_away"]["variables"] == rows["trimmed_away"]["solve_seconds"] == ""
+        table = [l for l in md_path.read_text().splitlines() if l.startswith("| ")]
+        assert len(table) == 4  # two tables, each a header and one group
+        for header, group in (table[:2], table[2:]):
+            cells = dict(zip(header.split(" | "), group.split(" | ")))
+            assert cells["#Tests"] == "2"
+            assert cells["Vars trimmed"] == rows["solved"]["variables"] == "8"
 
     def test_skips_non_instance_json(self, tmp_path, t1, capsys):
         corpus = tmp_path / "corpus"
