@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .lpformat import emit_lp_text, var_name
 from .milp import MilpModel
 
@@ -78,6 +80,7 @@ class SolveOutcome:
     solver_name: str
     log_path: Optional[str] = None
     message: str = ""
+    highs_seconds: Optional[float] = None  # inside scipy.optimize.milp; builtin only
 
 
 def _which(name: str, env_var: str) -> Optional[str]:
@@ -217,35 +220,29 @@ def parse_scip_solution(text: str):
 
 def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
     """Decide variable-free models directly (e.g. an empty demand set)."""
-    for con in model.constraints:
-        lhs = 0.0
-        ok = (
-            (con.relation == "=" and lhs == con.rhs)
-            or (con.relation == "<=" and lhs <= con.rhs)
-            or (con.relation == ">=" and lhs >= con.rhs)
-        )
-        if not ok:
+    for tag, lower, upper in zip(model.row_names, model.lower, model.upper):
+        if not lower <= 0 <= upper:
             return SolveOutcome(
                 INFEASIBLE, None, None, 0.0, "trivial",
-                message=f"unsatisfiable constraint {con.tag} with no variables",
+                message=f"unsatisfiable constraint {tag} with no variables",
             )
     return SolveOutcome(OPTIMAL, {}, 0.0, 0.0, "trivial")
 
 
-def _rounded(model: MilpModel, status: str, objective, value_of):
-    """(status, assignment, objective, message) from raw solver values, with
-    value_of(key) -> value (None: no solution); the objective is recomputed."""
+def _rounded(model: MilpModel, status: str, objective, values):
+    """(status, assignment, objective, message) from raw solver values, one
+    per column (None: no solution); the objective is recomputed."""
     assignment = None
-    if value_of is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
-        assignment = {}
-        for key in model.variables:
-            value = value_of(key)
-            if 0.01 < value < 0.99:
-                return ERROR, None, None, f"non-integral binary {var_name(key)}={value}"
-            assignment[key] = 1 if value >= 0.5 else 0
-        objective = sum(
-            coeff * assignment[key] for key, coeff in model.objective.items()
-        )
+    if values is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
+        x = np.asarray(values, dtype=np.float64)
+        fractional = np.flatnonzero((x > 0.01) & (x < 0.99))
+        if fractional.size:
+            j = fractional[0]
+            key = model.variables[j]
+            return ERROR, None, None, f"non-integral binary {var_name(key)}={values[j]}"
+        on = x >= 0.5
+        assignment = dict(zip(model.variables, on.astype(int).tolist()))
+        objective = int(model.c[on].sum())  # integer coefficients: exact
     if status in (OPTIMAL, FEASIBLE) and assignment is None:
         status = ERROR
     return status, assignment, objective, ""
@@ -312,9 +309,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         outcome = SolveOutcome(
             status, assignment, objective, wall, solver_name, message=message
         )
-        if outcome.status == ERROR or config.keep_files:
-            outcome.log_path = log_file
-        elif owns_dir:
+        if owns_dir and outcome.status != ERROR and not config.keep_files:
             shutil.rmtree(workdir, ignore_errors=True)
         else:
             outcome.log_path = log_file
@@ -333,8 +328,9 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         text = fh.read()
     parser = parse_scip_solution if solver_name == "scip" else parse_cbc_solution
     status, objective, values = parser(text)
-    value_of = None if values is None else lambda key: values.get(var_name(key), 0.0)
-    return finish(*_rounded(model, status, objective, value_of))
+    if values is not None:
+        values = [values.get(var_name(key), 0.0) for key in model.variables]
+    return finish(*_rounded(model, status, objective, values))
 
 
 def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> SolveOutcome:
@@ -348,19 +344,15 @@ def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> Solv
         os.makedirs(workdir, exist_ok=True)
         with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
             fh.write(emit_lp_text(model))
-    rows = ((con.coeffs, con.relation, con.rhs) for con in model.constraints)
     result = solve_highs(
-        model.variables, model.objective, rows, model.fixed_zero, config.time_limit
+        model.c, model.a, model.lower, model.upper, model.ub, config.time_limit
     )
-    value_of = None
-    if result.values is not None:
-        value_of = dict(zip(model.variables, result.values)).get
     status, assignment, objective, message = _rounded(
-        model, result.status, result.objective, value_of
+        model, result.status, result.objective, result.values
     )
     outcome = SolveOutcome(
         status, assignment, objective, time.perf_counter() - start, BUILTIN,
-        message=message or result.message,
+        message=message or result.message, highs_seconds=result.seconds,
     )
     if workdir is not None:
         outcome.log_path = os.path.join(workdir, "solver.log")

@@ -145,6 +145,8 @@ def answer(
     meta["solver_invoked"] = outcome.solver_name != "trivial"
     meta["solver_name"] = outcome.solver_name
     meta["timings"]["solve_seconds"] = round(outcome.wall_seconds, 6)
+    if outcome.highs_seconds is not None:
+        meta["timings"]["highs_seconds"] = round(outcome.highs_seconds, 6)
     if outcome.message:
         meta["solver_message"] = outcome.message
 

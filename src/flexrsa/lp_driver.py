@@ -1,10 +1,12 @@
 """The builtin solver: scipy's HiGHS, in the calling process.
 
-`solve_highs` is the one way from rows to a HiGHS matrix. `backend.solve`
-hands it a model's variables and constraints for `--solver builtin`;
-`solve_lp_file` hands it an LP file read back with `lpformat.parse_lp_text`
-and writes a CBC-style solution file (status line, then one row per variable:
-index, name, value, reduced cost), so an emitted LP can be solved and checked
+`solve_highs` hands a model's arrays (`milp.MilpModel`: objective, CSR rows
+and their bounds, column upper bounds) to `scipy.optimize.milp` untouched;
+`backend.solve` calls it for `--solver builtin`. `solve_lp_file` reads an LP
+file back with `lpformat.parse_lp_text`, puts its rows through `milp.Rows`
+as the builder does (`lp_matrix`), solves it the same way and writes a
+CBC-style solution file (status line, then one row per variable: index,
+name, value, reduced cost), so an emitted LP can be solved and checked
 without the model.
 """
 
@@ -14,11 +16,11 @@ import time
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .backend import ERROR, INFEASIBLE, OPTIMAL, TIMELIMIT
-from .lpformat import parse_lp_text
+from .lpformat import ParsedLp, parse_lp_text
+from .milp import Rows
 
 # scipy.optimize.milp status -> outcome status; any other is an error
 _STATUS = {0: OPTIMAL, 1: TIMELIMIT, 2: INFEASIBLE}
@@ -30,36 +32,15 @@ class HighsOutcome(NamedTuple):
     objective: Optional[float]
     message: str  # why it failed; empty unless the status is error
     summary: str  # status, message, gap, bound, nodes and wall time, one a line
+    seconds: float  # wall time inside scipy.optimize.milp
 
 
-def solve_highs(columns, objective, rows, fixed_zero, time_limit: float) -> HighsOutcome:
-    """Minimize over binary columns with HiGHS (`mip_rel_gap` 0).
-
-    columns: the column keys, in order; objective: {key: coefficient};
-    rows: iterable of ({key: coefficient}, "<=" | "=" | ">=", rhs);
-    fixed_zero: the keys whose column is fixed at 0. A solver exception is
-    an `error` outcome with its text as the message.
+def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
+    """Minimize c.x over binary x <= ub with lower <= a.x <= upper, by HiGHS
+    (`mip_rel_gap` 0). A solver exception is an `error` outcome with its
+    text as the message.
     """
-    index = {key: i for i, key in enumerate(columns)}
-    n = len(index)
-    c = np.zeros(n)
-    for key, coeff in objective.items():
-        c[index[key]] = coeff
-    ub = np.ones(n)
-    for key in fixed_zero:
-        ub[index[key]] = 0.0
-
-    indptr, indices, data, lower, upper = [0], [], [], [], []
-    for coeffs, relation, rhs in rows:
-        for key, coeff in coeffs.items():
-            if coeff:
-                indices.append(index[key])
-                data.append(coeff)
-        indptr.append(len(indices))
-        lower.append(-np.inf if relation == "<=" else rhs)
-        upper.append(np.inf if relation == ">=" else rhs)
-    a = sparse.csr_array((data, indices, indptr), shape=(len(lower), n))
-
+    n = len(c)
     start = time.perf_counter()
     try:
         res = milp(
@@ -72,7 +53,8 @@ def solve_highs(columns, objective, rows, fixed_zero, time_limit: float) -> High
     except Exception as exc:  # a solver failure is an outcome, never a traceback
         message = f"{type(exc).__name__}: {exc}"
         summary = f"status: {ERROR}\nmessage: {message}\n"
-        return HighsOutcome(ERROR, None, None, message, summary)
+        seconds = time.perf_counter() - start
+        return HighsOutcome(ERROR, None, None, message, summary, seconds)
     seconds = time.perf_counter() - start
 
     status = _STATUS.get(res.status, ERROR)
@@ -82,10 +64,28 @@ def solve_highs(columns, objective, rows, fixed_zero, time_limit: float) -> High
         f"mip_node_count: {res.get('mip_node_count')}\nwall_seconds: {seconds:.6f}\n"
     )
     if status == ERROR:
-        return HighsOutcome(ERROR, None, None, res.message, summary)
+        return HighsOutcome(ERROR, None, None, res.message, summary, seconds)
     if status == INFEASIBLE or res.x is None:
-        return HighsOutcome(status, None, None, "", summary)
-    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary)
+        return HighsOutcome(status, None, None, "", summary, seconds)
+    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary, seconds)
+
+
+def lp_matrix(parsed: ParsedLp):
+    """(column names, c, a, lower, upper, ub) of a parsed LP: columns in the
+    order of its Binary section, rows put through `milp.Rows`."""
+    names = list(dict.fromkeys(parsed.binary))
+    index = {name: j for j, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for name, coeff in parsed.objective.items():
+        c[index[name]] = coeff
+    ub = np.ones(len(names))
+    for name in parsed.fixed:
+        ub[index[name]] = 0.0
+    rows = Rows()
+    for tag, coeffs, relation, rhs in parsed.constraints:
+        rows.add(tag, [index[name] for name in coeffs], list(coeffs.values()), relation, rhs)
+    a, lower, upper = rows.matrix(len(names))
+    return names, c, a, lower, upper, ub
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
@@ -98,9 +98,8 @@ def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
     if any(bounds != (0.0, 0.0) for bounds in parsed.fixed.values()):
         raise ValueError("driver only handles columns fixed at 0")
 
-    names = list(dict.fromkeys(parsed.binary))
-    rows = ((coeffs, rel, rhs) for _tag, coeffs, rel, rhs in parsed.constraints)
-    outcome = solve_highs(names, parsed.objective, rows, parsed.fixed, time_limit)
+    names, *arrays = lp_matrix(parsed)
+    outcome = solve_highs(*arrays, time_limit)
     if outcome.values is not None:
         objective = outcome.objective + parsed.objective_constant
         head = {OPTIMAL: "Optimal", TIMELIMIT: "Stopped on time limit"}[outcome.status]

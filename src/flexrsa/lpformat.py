@@ -7,9 +7,12 @@ encode the variable key bijectively:
     x_d<demand>_l<link>_<f|b>_c<color>   flow on a directed link and color
     y_d<demand>                          maxsubset selector
 
-The reader is used by `lp_driver.solve_lp_file` and by the round-trip tests;
-it recovers the exact coefficient maps (zero-coefficient placeholder terms are
-dropped, constants are folded into the right-hand side).
+The writer prints a model's arrays (column keys, objective vector, bounds and
+CSR rows); it serves the subprocess solvers and `keep_files`, since the
+builtin solver takes the arrays themselves. The reader is used by
+`lp_driver.solve_lp_file` and by the round-trip tests; it recovers the exact
+coefficient maps (zero-coefficient placeholder terms are dropped, constants
+are folded into the right-hand side).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .milp import FlowVar, MilpModel, SelectVar
+from .milp import FlowVar, MilpModel, SelectVar, row_relation
 
 MAX_LINE = 200
 
@@ -55,13 +58,12 @@ def _fmt_num(x) -> str:
     return repr(x)
 
 
-def _terms(coeffs: dict, placeholder: str | None) -> list[str]:
-    """Render coefficient tokens; an empty map becomes a zero placeholder term."""
-    if not coeffs:
+def _terms(terms: list, placeholder: str | None) -> list[str]:
+    """Render (name, coefficient) pairs; no pairs become a zero placeholder term."""
+    if not terms:
         return ["0"] if placeholder is None else ["0", placeholder]
     toks: list[str] = []
-    for i, (key, coeff) in enumerate(coeffs.items()):
-        name = var_name(key)
+    for i, (name, coeff) in enumerate(terms):
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         if i == 0:
@@ -86,23 +88,30 @@ def _wrap(prefix: str, tokens: list[str], out: list[str]) -> None:
 
 
 def emit_lp_text(model: MilpModel) -> str:
-    """Byte-deterministic LP document for the model."""
-    first_name = var_name(model.variables[0]) if model.variables else None
+    """Byte-deterministic LP document for the model, printed from its arrays."""
+    names = [var_name(key) for key in model.variables]
     out: list[str] = [f"\\ flexrsa variant={model.variant} mode={model.mode}"]
     out.append("Minimize")
-    _wrap(" obj:", _terms(model.objective, None), out)
+    objective = [(names[j], v) for j, v in enumerate(model.c.tolist()) if v]
+    _wrap(" obj:", _terms(objective, None), out)
     out.append("Subject To")
-    for con in model.constraints:
-        toks = _terms(con.coeffs, first_name)
-        toks += [con.relation, _fmt_num(con.rhs)]
-        _wrap(f" {con.tag}:", toks, out)
+    placeholder = names[0] if names else None
+    indptr = model.a.indptr.tolist()
+    indices = model.a.indices.tolist()
+    data = model.a.data.tolist()
+    bounds = zip(model.row_names, model.lower.tolist(), model.upper.tolist())
+    for i, (tag, lower, upper) in enumerate(bounds):
+        span = range(indptr[i], indptr[i + 1])
+        toks = _terms([(names[indices[k]], data[k]) for k in span], placeholder)
+        relation, rhs = row_relation(lower, upper)
+        toks += [relation, _fmt_num(rhs)]
+        _wrap(f" {tag}:", toks, out)
     if model.fixed_zero:
         out.append("Bounds")
         for key in sorted(model.fixed_zero):
             out.append(f" {var_name(key)} = 0")
     out.append("Binary")
-    for key in model.variables:
-        out.append(f" {var_name(key)}")
+    out.extend(f" {name}" for name in names)
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -14,17 +14,29 @@ Modes: ``feasibility`` routes every demand (source out-flow = width);
 ``maxsubset`` adds selector variables y[d] and maximizes how many demands are
 routed by rewarding each selected demand more than any flow could cost.
 
-The builder is a pure function; models are deterministic given the instance
-(variables and constraints come out in sorted demand/link/color order).
+The builder is a pure function that writes the solver matrix directly: the
+column keys, an objective vector, column upper bounds, one CSR row matrix with
+row bounds, and a name per row. Columns come out in demand, link, direction
+(forward first), color order, then the selectors; rows family by family, each
+family in sorted demand/link/color order. `Rows` is the one way from rows to a
+CSR matrix; `lp_driver` puts the rows of a parsed LP file through it too. The
+per-row dict view (`MilpModel.constraints`) is derived from the arrays only
+when something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .model import InputError, RestorationInstance
 from .trimming import UsefulTripleSet
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 VARIANTS = ("base", "notrim", "trimmed")
 MODES = ("feasibility", "maxsubset")
@@ -44,29 +56,126 @@ class SelectVar(NamedTuple):
 VariableKey = Union[FlowVar, SelectVar]
 
 
-@dataclass
+def row_family(name: str) -> str:
+    """The constraint family of a row name, e.g. "flow" for "flow_d1_c2_n3"."""
+    return name.split("_", 1)[0]
+
+
+def row_relation(lower: float, upper: float):
+    """(relation, rhs) of the row bounds lower <= a.x <= upper."""
+    if lower == -np.inf:
+        return "<=", upper
+    if upper == np.inf:
+        return ">=", lower
+    return "=", lower
+
+
+@dataclass(frozen=True)
 class LinearConstraint:
     """One row: sum(coeffs[v] * v) relation rhs, named by its provenance tag."""
 
+    tag: str
     coeffs: dict
     relation: str  # "<=", "=", ">="
     rhs: float
-    tag: str
 
     @property
     def family(self) -> str:
-        return self.tag.split("_", 1)[0]
+        return row_family(self.tag)
 
 
-@dataclass
+class Rows:
+    """Rows, in order, to a CSR matrix with row bounds and names.
+
+    `add` keeps the terms in the order given, merges a repeated column into
+    its first occurrence and drops zero terms; a row left without terms is
+    kept.
+    """
+
+    def __init__(self) -> None:
+        self.names: list = []
+        self.lower: list = []
+        self.upper: list = []
+        self.indptr: list = [0]
+        self.indices: list = []
+        self.data: list = []
+
+    def add(self, name: str, cols: list, vals: list, relation: str, rhs) -> None:
+        if len(set(cols)) < len(cols):
+            merged: dict = {}
+            for j, v in zip(cols, vals):
+                merged[j] = merged.get(j, 0) + v
+            cols, vals = list(merged), list(merged.values())
+        if 0 in vals:
+            kept = [k for k, v in enumerate(vals) if v]
+            cols, vals = [cols[k] for k in kept], [vals[k] for k in kept]
+        self.indices += cols
+        self.data += vals
+        self.indptr.append(len(self.indices))
+        self.names.append(name)
+        self.lower.append(-np.inf if relation == "<=" else rhs)
+        self.upper.append(np.inf if relation == ">=" else rhs)
+
+    def matrix(self, n_cols: int):
+        """(a, lower, upper): the rows as a CSR matrix over n_cols columns."""
+        from scipy import sparse  # deferred: commands that build no model skip scipy
+
+        a = sparse.csr_array(
+            (np.asarray(self.data, dtype=np.float64), self.indices, self.indptr),
+            shape=(len(self.names), n_cols),
+        )
+        return (
+            a,
+            np.asarray(self.lower, dtype=np.float64),
+            np.asarray(self.upper, dtype=np.float64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class MilpModel:
+    """minimize c.x subject to lower <= a.x <= upper, x binary, x <= ub.
+
+    variables: the column keys, in column order. ub is 0 for a column fixed
+    at zero and 1 otherwise. row_names: one provenance tag per row of a.
+    Objective coefficients are integers.
+    """
+
     variant: str
     mode: str
     variables: tuple
-    objective: dict
-    constraints: tuple
-    fixed_zero: frozenset = frozenset()
+    c: np.ndarray
+    ub: np.ndarray
+    a: sparse.csr_array
+    lower: np.ndarray
+    upper: np.ndarray
+    row_names: tuple
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def constraints(self) -> tuple:
+        """The rows as LinearConstraint objects, in row order."""
+        keys = self.variables
+        indptr = self.a.indptr.tolist()
+        indices = self.a.indices.tolist()
+        data = self.a.data.tolist()
+        out = []
+        for i, (name, lo, hi) in enumerate(
+            zip(self.row_names, self.lower.tolist(), self.upper.tolist())
+        ):
+            span = range(indptr[i], indptr[i + 1])
+            coeffs = {keys[indices[k]]: data[k] for k in span}
+            out.append(LinearConstraint(name, coeffs, *row_relation(lo, hi)))
+        return tuple(out)
+
+    @cached_property
+    def objective(self) -> dict:
+        """{column key: objective coefficient} over the nonzero coefficients."""
+        return {key: v for key, v in zip(self.variables, self.c.tolist()) if v}
+
+    @cached_property
+    def fixed_zero(self) -> frozenset:
+        """The keys of the columns fixed at zero."""
+        return frozenset(self.variables[j] for j in np.flatnonzero(self.ub == 0))
 
     def flow_variables(self) -> list:
         return [v for v in self.variables if isinstance(v, FlowVar)]
@@ -101,47 +210,73 @@ class ModelStatistics:
 
 def model_statistics(model: MilpModel) -> ModelStatistics:
     by_family: dict = {}
-    for con in model.constraints:
-        by_family[con.family] = by_family.get(con.family, 0) + 1
-    flow = sum(1 for v in model.variables if isinstance(v, FlowVar))
+    for name in model.row_names:
+        family = row_family(name)
+        by_family[family] = by_family.get(family, 0) + 1
+    select = len(model.select_variables())
     return ModelStatistics(
         variant=model.variant,
         mode=model.mode,
         variables=len(model.variables),
-        flow_variables=flow,
-        select_variables=len(model.variables) - flow,
-        fixed_zero=len(model.fixed_zero),
-        constraints=len(model.constraints),
+        flow_variables=len(model.variables) - select,
+        select_variables=select,
+        fixed_zero=int(np.count_nonzero(model.ub == 0)),
+        constraints=len(model.row_names),
         by_family=by_family,
     )
 
 
 def _variant_colors(instance, triples, variant):
-    """Per (demand, link): (variable colors, first-color candidates)."""
+    """Per (demand id, link id): (variable colors ascending, first-color candidates)."""
     net = instance.network
-    all_colors = range(1, net.slot_count + 1)
+    all_colors = list(range(1, net.slot_count + 1))
+    all_set = frozenset(all_colors)
+    useful: dict = {}
+    if variant == "trimmed":
+        for d, l, c in triples.useful:
+            useful.setdefault((d, l), []).append(c)
     cols: dict = {}
     first: dict = {}
     for d in instance.demands:
         w = d.width
         last_first = net.slot_count - w + 1
-        by_link = triples.useful_colors_by_link(d.id) if variant == "trimmed" else {}
         for l in net.links:
+            key = (d.id, l.id)
             free = net.available[l.id]
             if variant == "base":
-                cols[(d.id, l.id)] = list(all_colors)
-                first[(d.id, l.id)] = set(all_colors)
+                cols[key] = all_colors
+                first[key] = all_set
             elif variant == "notrim":
-                cols[(d.id, l.id)] = sorted(free)
-                first[(d.id, l.id)] = {
+                cols[key] = sorted(free)
+                first[key] = {
                     c
                     for c in free
                     if c <= last_first and all(c + k in free for k in range(w))
                 }
             else:  # trimmed
-                cols[(d.id, l.id)] = sorted(by_link.get(l.id, set()))
-                first[(d.id, l.id)] = set(triples.first_colors_of(d.id, l.id))
+                cols[key] = sorted(useful.get(key, ()))
+                first[key] = triples.first_colors_of(d.id, l.id)
     return cols, first
+
+
+def _out_in(incident: list, on: dict):
+    """(outgoing, incoming) columns at a node, for one demand and color.
+
+    incident: the node's (link index, node is the link's u) pairs; on: link
+    index -> (forward column, backward column) of the links carrying the color.
+    """
+    out, inn = [], []
+    for li, at_u in incident:
+        pair = on.get(li)
+        if pair is not None:
+            fwd, bwd = pair
+            if at_u:
+                out.append(fwd)
+                inn.append(bwd)
+            else:
+                out.append(bwd)
+                inn.append(fwd)
+    return out, inn
 
 
 def build_model(
@@ -167,185 +302,150 @@ def build_model(
             )
 
     net = instance.network
+    slots = net.slot_count
     demands = sorted(instance.demands, key=lambda d: d.id)
     links = net.links  # already sorted by id
     cols, first = _variant_colors(instance, triples, variant)
 
+    # columns: blocks[di][li] = (first column, colors); the backward copy of
+    # the forward column j is j + len(colors)
     variables: list = []
-    exists: set = set()
-    fixed_zero: set = set()
+    blocks: list = []
+    fixed: list = []
     for d in demands:
+        per_link = []
         for l in links:
+            colors = cols[(d.id, l.id)]
+            start = len(variables)
+            per_link.append((start, colors))
             for fwd in (True, False):
-                for c in cols[(d.id, l.id)]:
-                    var = FlowVar(d.id, l.id, fwd, c)
-                    variables.append(var)
-                    exists.add(var)
-                    if variant == "base" and c not in net.available[l.id]:
-                        fixed_zero.add(var)
-    select: dict = {}
+                variables.extend(FlowVar(d.id, l.id, fwd, c) for c in colors)
+            if variant == "base":
+                free = net.available[l.id]
+                n = len(colors)
+                for k, c in enumerate(colors):
+                    if c not in free:
+                        fixed += (start + k, start + n + k)
+        blocks.append(per_link)
+    n_flow = len(variables)
     if mode == "maxsubset":
-        for d in demands:
-            select[d.id] = SelectVar(d.id)
-            variables.append(select[d.id])
+        variables.extend(SelectVar(d.id) for d in demands)
 
     node_index = {n: i for i, n in enumerate(net.nodes)}
-    incident: dict = {n: [] for n in net.nodes}
-    for l in links:
-        incident[l.u].append(l)
-        incident[l.v].append(l)
+    ends = [(node_index[l.u], node_index[l.v]) for l in links]
+    incident: list = [[] for _ in net.nodes]
+    for li, (u, v) in enumerate(ends):
+        incident[u].append((li, True))
+        incident[v].append((li, False))
 
-    def out_in_vars(d_id, node, c):
-        """(outgoing, incoming) directed flow vars of demand d at a node/color."""
-        out, inn = [], []
-        for l in incident[node]:
-            fwd = FlowVar(d_id, l.id, True, c)
-            bwd = FlowVar(d_id, l.id, False, c)
-            if node == l.u:
-                if fwd in exists:
-                    out.append(fwd)
-                if bwd in exists:
-                    inn.append(bwd)
-            else:
-                if bwd in exists:
-                    out.append(bwd)
-                if fwd in exists:
-                    inn.append(fwd)
-        return out, inn
+    rows = Rows()
 
-    constraints: list = []
-
-    # flow conservation at inner nodes, per demand and color
-    for d in demands:
-        for c in range(1, net.slot_count + 1):
-            for node in net.nodes:
-                if node == d.s or node == d.t:
-                    continue
-                out, inn = out_in_vars(d.id, node, c)
-                if not out and not inn:
-                    continue
-                coeffs: dict = {}
-                for v in out:
-                    coeffs[v] = coeffs.get(v, 0) + 1
-                for v in inn:
-                    coeffs[v] = coeffs.get(v, 0) - 1
-                coeffs = {v: k for v, k in coeffs.items() if k != 0}
-                if not coeffs:
-                    continue
-                constraints.append(
-                    LinearConstraint(
-                        coeffs, "=", 0,
-                        f"flow_d{d.id}_c{c}_n{node_index[node]}",
-                    )
+    # flow conservation at inner nodes, per demand and color; the source's
+    # columns are gathered on the way for the source rows
+    source: list = []
+    uni: list = [{} for _ in links]  # link index -> color -> columns
+    for d, per_link in zip(demands, blocks):
+        on_color: list = [{} for _ in range(slots + 1)]
+        for li, (start, colors) in enumerate(per_link):
+            n = len(colors)
+            by_color = uni[li]
+            for k, c in enumerate(colors):
+                pair = (start + k, start + n + k)
+                on_color[c][li] = pair
+                by_color.setdefault(c, []).extend(pair)
+        s, t = node_index[d.s], node_index[d.t]
+        out_all, in_all = [], []
+        for c in range(1, slots + 1):
+            on = on_color[c]
+            if not on:
+                continue
+            out, inn = _out_in(incident[s], on)
+            out_all += out
+            in_all += inn
+            inner = {x for li in on for x in ends[li]}
+            inner.discard(s)
+            inner.discard(t)
+            for node in sorted(inner):
+                out, inn = _out_in(incident[node], on)
+                rows.add(
+                    f"flow_d{d.id}_c{c}_n{node}",
+                    out + inn, [1] * len(out) + [-1] * len(inn), "=", 0,
                 )
+        source.append((out_all, in_all))
 
     # source constraints: out-flow equals width (or width * y), in-flow zero
-    for d in demands:
-        out_all, in_all = [], []
-        for c in range(1, net.slot_count + 1):
-            out, inn = out_in_vars(d.id, d.s, c)
-            out_all.extend(out)
-            in_all.extend(inn)
-        coeffs = {v: 1 for v in out_all}
+    for di, (d, (out_all, in_all)) in enumerate(zip(demands, source)):
+        ones = [1] * len(out_all)
         if mode == "maxsubset":
-            coeffs[select[d.id]] = -d.width
-            constraints.append(
-                LinearConstraint(coeffs, "=", 0, f"srcout_d{d.id}")
+            rows.add(
+                f"srcout_d{d.id}", out_all + [n_flow + di], ones + [-d.width], "=", 0
             )
         else:
             # kept even with no terms: a demand without any variable at its
             # source makes the model infeasible, and the row records why
-            constraints.append(
-                LinearConstraint(coeffs, "=", d.width, f"srcout_d{d.id}")
-            )
+            rows.add(f"srcout_d{d.id}", out_all, ones, "=", d.width)
         if in_all:
-            constraints.append(
-                LinearConstraint({v: 1 for v in in_all}, "=", 0, f"srcin_d{d.id}")
-            )
+            rows.add(f"srcin_d{d.id}", in_all, [1] * len(in_all), "=", 0)
 
     # reachability: occupied length is at most reach * width
-    for d in demands:
-        coeffs = {}
-        for l in links:
+    for d, per_link in zip(demands, blocks):
+        terms, vals = [], []
+        for l, (start, colors) in zip(links, per_link):
             if l.length == 0:
                 continue
-            for fwd in (True, False):
-                for c in cols[(d.id, l.id)]:
-                    coeffs[FlowVar(d.id, l.id, fwd, c)] = l.length
-        if coeffs:
-            constraints.append(
-                LinearConstraint(coeffs, "<=", d.reach * d.width, f"reach_d{d.id}")
-            )
+            n = 2 * len(colors)
+            terms += range(start, start + n)
+            vals += [l.length] * n
+        if terms:
+            rows.add(f"reach_d{d.id}", terms, vals, "<=", d.reach * d.width)
 
     # unicolor: a (link, color) slot carries at most one demand, one direction
-    for l in links:
-        for c in range(1, net.slot_count + 1):
-            coeffs = {}
-            for d in demands:
-                for fwd in (True, False):
-                    v = FlowVar(d.id, l.id, fwd, c)
-                    if v in exists:
-                        coeffs[v] = 1
-            if coeffs:
-                constraints.append(
-                    LinearConstraint(coeffs, "<=", 1, f"uni_l{l.id}_c{c}")
-                )
+    for l, by_color in zip(links, uni):
+        for c in sorted(by_color):
+            terms = by_color[c]
+            rows.add(f"uni_l{l.id}_c{c}", terms, [1] * len(terms), "<=", 1)
 
     # contiguity families; identically true for width-1 demands, so skipped
-    def emit_contiguity(d, l, fwd):
+    for d, per_link in zip(demands, blocks):
         w = d.width
-        key = (d.id, l.id)
-        dir_tag = "f" if fwd else "b"
-        firsts = first[key]
-        for c in cols[key]:
-            var_c = FlowVar(d.id, l.id, fwd, c)
-            if c in firsts:
-                coeffs = {}
-                for k in range(w):
-                    v = FlowVar(d.id, l.id, fwd, c + k)
-                    if v in exists:
-                        coeffs[v] = coeffs.get(v, 0) + 1
-                coeffs[var_c] = coeffs.get(var_c, 0) - w
-                if c - 1 in firsts:
-                    prev = FlowVar(d.id, l.id, fwd, c - 1)
-                    coeffs[prev] = coeffs.get(prev, 0) + w
-                    fam = "ctgA"
-                else:
-                    fam = "ctgB"
-                coeffs = {v: k for v, k in coeffs.items() if k != 0}
-                constraints.append(
-                    LinearConstraint(
-                        coeffs, ">=", 0, f"{fam}_d{d.id}_l{l.id}{dir_tag}_c{c}"
-                    )
-                )
-            elif variant != "base":
-                prev = FlowVar(d.id, l.id, fwd, c - 1)
-                coeffs = {var_c: -1}
-                if prev in exists:
-                    coeffs[prev] = 1
-                constraints.append(
-                    LinearConstraint(
-                        coeffs, ">=", 0, f"ctgC_d{d.id}_l{l.id}{dir_tag}_c{c}"
-                    )
-                )
-
-    for d in demands:
-        if d.width == 1:
+        if w == 1:
             continue
-        for l in links:
-            for fwd in (True, False):
-                emit_contiguity(d, l, fwd)
+        for l, (start, colors) in zip(links, per_link):
+            firsts = first[(d.id, l.id)]
+            pos = {c: k for k, c in enumerate(colors)}
+            for base, dir_tag in ((start, "f"), (start + len(colors), "b")):
+                for k, c in enumerate(colors):
+                    if c in firsts:
+                        terms = [base + pos[c + i] for i in range(w) if c + i in pos]
+                        vals = [1] * len(terms) + [-w]
+                        terms.append(base + k)
+                        if c - 1 in firsts:
+                            terms.append(base + pos[c - 1])
+                            vals.append(w)
+                            fam = "ctgA"
+                        else:
+                            fam = "ctgB"
+                        rows.add(
+                            f"{fam}_d{d.id}_l{l.id}{dir_tag}_c{c}", terms, vals, ">=", 0
+                        )
+                    elif variant != "base":
+                        terms, vals = [base + k], [-1]
+                        if c - 1 in pos:
+                            terms.append(base + pos[c - 1])
+                            vals.append(1)
+                        rows.add(
+                            f"ctgC_d{d.id}_l{l.id}{dir_tag}_c{c}", terms, vals, ">=", 0
+                        )
 
-    # objective
-    objective: dict = {}
-    for v in variables:
-        if isinstance(v, FlowVar):
-            objective[v] = 1
+    n = len(variables)
     undirected_triples = sum(len(cs) for cs in cols.values())
     big_m = undirected_triples + 1
-    if mode == "maxsubset":
-        for d in demands:
-            objective[select[d.id]] = -big_m
+    c_vec = np.zeros(n)
+    c_vec[:n_flow] = 1
+    c_vec[n_flow:] = -big_m
+    ub = np.ones(n)
+    ub[fixed] = 0.0
+    a, lower, upper = rows.matrix(n)
 
     meta = {
         "undirected_triples": undirected_triples,
@@ -356,8 +456,11 @@ def build_model(
         variant=variant,
         mode=mode,
         variables=tuple(variables),
-        objective=objective,
-        constraints=tuple(constraints),
-        fixed_zero=frozenset(fixed_zero),
+        c=c_vec,
+        ub=ub,
+        a=a,
+        lower=lower,
+        upper=upper,
+        row_names=tuple(rows.names),
         meta=meta,
     )

@@ -155,9 +155,6 @@ class OpticalNetwork:
         except KeyError:
             raise InputError(f"unknown node {node!r}") from None
 
-    def colors_of(self, link_id: int) -> frozenset[int]:
-        return self.available[link_id]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OpticalNetwork(|V|={len(self.nodes)}, |L|={len(self.links)}, "

@@ -45,14 +45,6 @@ class UsefulTripleSet:
     def first_colors_of(self, demand_id: int, link_id: int) -> frozenset:
         return self.first_colors.get((demand_id, link_id), frozenset())
 
-    def useful_colors_by_link(self, demand_id: int) -> dict:
-        """demand's useful colors grouped per link id."""
-        out: dict[int, set[int]] = {}
-        for d, l, c in self.useful:
-            if d == demand_id:
-                out.setdefault(l, set()).add(c)
-        return out
-
 
 def adjacency(network: OpticalNetwork) -> list:
     """Per node index (position in `network.nodes`): the (edge index, other

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import tempfile
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from flexrsa.backend import (
@@ -18,11 +20,17 @@ from flexrsa.backend import (
     resolve_solver,
     solve,
 )
-from flexrsa.io import save_instance
+from flexrsa.io import load_instance, save_instance
 from flexrsa.lp_driver import solve_lp_file
 from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import build_model
 from flexrsa.model import RestorationInstance
+from flexrsa.testgen import (
+    MODULATION_REACH_KM,
+    builtin_topology_path,
+    generate_loaded_network,
+    make_scenario,
+)
 from flexrsa.trimming import compute_useful_triples
 from tests_support import canned_solver
 
@@ -121,6 +129,75 @@ class TestBuiltinSolver:
                     if status == OPTIMAL:
                         assert round(objective) == out.objective
                         assert len(values) == len(model.variables)
+
+
+def highs_input(model, monkeypatch):
+    """The arrays that the builtin solve hands to scipy's milp for the model."""
+    seen = {}
+
+    def capture(c, constraints, integrality, bounds, options):
+        (rows,) = constraints
+        seen.update(
+            c=c, indptr=rows.A.indptr, indices=rows.A.indices, data=rows.A.data,
+            lower=rows.lb, upper=rows.ub, ub=bounds.ub,
+        )
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr("flexrsa.lp_driver.milp", capture)
+    solve(model, BUILTIN)
+    monkeypatch.undo()
+    return seen
+
+
+def highs_input_digest(arrays) -> str:
+    """sha256 over the arrays in a fixed order; values and order count, the
+    integer and float widths scipy happened to pick do not."""
+    h = hashlib.sha256()
+    for name in ("c", "indptr", "indices", "data", "lower", "upper", "ub"):
+        dtype = np.int64 if name in ("indptr", "indices") else np.float64
+        h.update(np.ascontiguousarray(arrays[name], dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+class TestHighsInputGolden:
+    """HiGHS input of the two benchmark-corpus scenarios of test_testgen's
+    TestGolden. Reordering rows or columns moves HiGHS time on the same
+    instance (by -25% to +10% on ring14), so it must fail here."""
+
+    @pytest.mark.parametrize(
+        "topology, modulation, broken, kind, first_break, mode, highs, lp",
+        [
+            ("ring14", "qpsk", 1, "first", None, "feasibility",
+             "5d22dceacc718e167f722382c767ba9d7beefd59438df111d1ecb2beaa8028c0",
+             "70af8e9ad0b925c5ede79c5dcfe9e719d8b38f93ac27c0efe7a726841dbefca9"),
+            ("grid12", "8qam", 12, "second", 7, "feasibility",
+             "367bf9bcbfe57b72a8eec11992f9687b9a21270959f95ebbf300105ca420b4e7",
+             "2cffa76381323be47cc5d259e25d118f1741322ae011d79fae85b1c1d2cc4264"),
+            ("grid12", "8qam", 12, "second", 7, "maxsubset",
+             "2d4266848dfac6cd786a4a765c3eee91edb573cc881af434507beb97b5aa5cdc",
+             "47afbdcee794fe3a4cbcbb2217d645913047606be39044025a504df1872105ef"),
+        ],
+        ids=["ring14-first", "grid12-feasibility", "grid12-maxsubset"],
+    )
+    def test_digests(
+        self, topology, modulation, broken, kind, first_break, mode, highs, lp, monkeypatch
+    ):
+        loaded = generate_loaded_network(
+            load_instance(builtin_topology_path(topology)).network,
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        inst = make_scenario(loaded, broken, kind, first_break=first_break).instance
+        triples = compute_useful_triples(inst)
+        if mode == "maxsubset":  # as the solve command does
+            inst = RestorationInstance(
+                inst.network,
+                tuple(d for d in inst.demands if d.id not in triples.non_reroutable),
+            )
+        model = build_model(inst, triples, "trimmed", mode)
+        assert highs_input_digest(highs_input(model, monkeypatch)) == highs
+        assert hashlib.sha256(emit_lp_text(model).encode("utf-8")).hexdigest() == lp
 
 
 class TestSolverResolution:

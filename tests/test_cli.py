@@ -68,6 +68,22 @@ class TestSolve:
         assert doc["meta"]["solver_invoked"] is True
         assert doc["meta"]["model"]["variables"] == 8
 
+    def test_highs_seconds_only_for_builtin(self, t1_file, tmp_path):
+        out = tmp_path / "sol.json"
+        assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 0
+        timings = read_json(out)["meta"]["timings"]
+        assert 0 < timings["highs_seconds"] <= timings["solve_seconds"]
+        solver = canned_solver(
+            tmp_path,
+            "Optimal - objective value 2\n"
+            "      0 x_d1_l1_f_c1 1 0\n"
+            "      1 x_d1_l2_f_c1 1 0\n",
+        )
+        assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 0
+        timings = read_json(out)["meta"]["timings"]
+        assert "solve_seconds" in timings
+        assert "highs_seconds" not in timings
+
     def test_stdout_holds_one_json_document(self, t1_file, capfd):
         # fd level: HiGHS would print from C, past sys.stdout
         assert main(["solve", t1_file, "--solver", "builtin", "--time-limit", "60"]) == 0

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from flexrsa.lp_driver import lp_matrix
 from flexrsa.lpformat import (
     emit_lp_text,
     parse_lp_text,
@@ -96,6 +98,34 @@ class TestRoundTripCorpus:
             roundtrip_matches(
                 build_model(pruned, pruned_triples, "trimmed", "maxsubset")
             )
+
+
+class TestMatrixRoundTrip:
+    """The printed LP, read back and put through the rows accumulator that
+    `solve_lp_file` uses, is the matrix the builtin solver gets."""
+
+    def test_corpus_all_variants_and_modes(self, small_corpus):
+        for seed, inst in small_corpus:
+            triples = compute_useful_triples(inst)
+            pruned = RestorationInstance(
+                inst.network,
+                tuple(d for d in inst.demands if d.id not in triples.non_reroutable),
+            )
+            for variant in ("base", "notrim", "trimmed"):
+                for mode, kept in (("feasibility", inst), ("maxsubset", pruned)):
+                    model = build_model(kept, triples, variant, mode)
+                    parsed = parse_lp_text(emit_lp_text(model))
+                    names, c, a, lower, upper, ub = lp_matrix(parsed)
+                    where = (seed, variant, mode)
+                    assert names == [var_name(k) for k in model.variables], where
+                    assert [tag for tag, *_ in parsed.constraints] == list(model.row_names)
+                    assert a.shape == model.a.shape, where
+                    assert np.array_equal(a.indptr, model.a.indptr), where
+                    assert np.array_equal(a.indices, model.a.indices), where
+                    assert np.array_equal(a.data, model.a.data), where
+                    for got, want in ((c, model.c), (lower, model.lower),
+                                      (upper, model.upper), (ub, model.ub)):
+                        assert np.array_equal(got, want), where
 
 
 class TestParserDetails:

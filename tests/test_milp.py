@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from flexrsa.milp import (
     FlowVar,
+    Rows,
     SelectVar,
     build_model,
     model_statistics,
@@ -161,3 +163,29 @@ class TestStatistics:
     def test_base_fixed_accounting(self, t2):
         stats = model_statistics(build_model(t2, None, "base"))
         assert stats.fixed_zero == 2  # (link 2, color 1) in both directions
+
+
+class TestRows:
+    def test_merges_repeats_in_place_and_drops_zeros(self):
+        rows = Rows()
+        rows.add("a", [2, 0, 2, 1], [1, 1, -3, 0], ">=", 0)
+        rows.add("b", [1, 1], [1, -1], "=", 4)  # cancels to an empty row, kept
+        rows.add("c", [0], [2.5], "<=", 7.5)
+        a, lower, upper = rows.matrix(3)
+        assert a.shape == (3, 3)
+        assert a.indptr.tolist() == [0, 2, 2, 3]
+        assert a.indices.tolist() == [2, 0, 0]
+        assert a.data.tolist() == [-2.0, 1.0, 2.5]
+        assert lower.tolist() == [0.0, 4.0, -np.inf]
+        assert upper.tolist() == [np.inf, 4.0, 7.5]
+        assert rows.names == ["a", "b", "c"]
+
+
+class TestDerivedRows:
+    def test_constraints_mirror_the_arrays(self, t4):
+        model = trimmed(t4)
+        assert len(model.constraints) == model.a.shape[0]
+        assert sum(len(con.coeffs) for con in model.constraints) == model.a.nnz
+        for con, name in zip(model.constraints, model.row_names):
+            assert con.tag == name
+        assert model.constraints is model.constraints  # derived once
