@@ -162,25 +162,36 @@ def highs_input_digest(arrays) -> str:
 class TestHighsInputGolden:
     """HiGHS input of the two benchmark-corpus scenarios of test_testgen's
     TestGolden. Reordering rows or columns moves HiGHS time on the same
-    instance (by -25% to +10% on ring14), so it must fail here."""
+    instance (by -25% to +10% on ring14), so it must fail here. The notrim
+    and base cases lock the free-color and full-spectrum models too."""
 
     @pytest.mark.parametrize(
-        "topology, modulation, broken, kind, first_break, mode, highs, lp",
+        "topology, modulation, broken, kind, first_break, variant, mode, highs, lp",
         [
-            ("ring14", "qpsk", 1, "first", None, "feasibility",
+            ("ring14", "qpsk", 1, "first", None, "trimmed", "feasibility",
              "5d22dceacc718e167f722382c767ba9d7beefd59438df111d1ecb2beaa8028c0",
              "70af8e9ad0b925c5ede79c5dcfe9e719d8b38f93ac27c0efe7a726841dbefca9"),
-            ("grid12", "8qam", 12, "second", 7, "feasibility",
+            ("grid12", "8qam", 12, "second", 7, "trimmed", "feasibility",
              "367bf9bcbfe57b72a8eec11992f9687b9a21270959f95ebbf300105ca420b4e7",
              "2cffa76381323be47cc5d259e25d118f1741322ae011d79fae85b1c1d2cc4264"),
-            ("grid12", "8qam", 12, "second", 7, "maxsubset",
+            ("grid12", "8qam", 12, "second", 7, "trimmed", "maxsubset",
              "2d4266848dfac6cd786a4a765c3eee91edb573cc881af434507beb97b5aa5cdc",
              "47afbdcee794fe3a4cbcbb2217d645913047606be39044025a504df1872105ef"),
+            ("grid12", "8qam", 12, "second", 7, "notrim", "feasibility",
+             "5ce3e2daea40ac1180741c49f83ad39c09d34c6d6f67e75fe8d5b53e48be1a87",
+             "8a00cb0809a180b6283cfa9e930e9ba3d6a1c8c2839743a28e97d2a79a694140"),
+            ("grid12", "8qam", 12, "second", 7, "base", "feasibility",
+             "17ab4c5a8fb88cab65b2b7e46ed2f4add1c9016fa7380adf9b6dabcb7a32f09c",
+             "bc155d9a04abb2894e80ba14fd046a9ba6990dbb1d9b475b695ea4ab9edf319a"),
         ],
-        ids=["ring14-first", "grid12-feasibility", "grid12-maxsubset"],
+        ids=[
+            "ring14-first", "grid12-feasibility", "grid12-maxsubset",
+            "grid12-notrim", "grid12-base",
+        ],
     )
     def test_digests(
-        self, topology, modulation, broken, kind, first_break, mode, highs, lp, monkeypatch
+        self, topology, modulation, broken, kind, first_break, variant, mode, highs, lp,
+        monkeypatch,
     ):
         loaded = generate_loaded_network(
             load_instance(builtin_topology_path(topology)).network,
@@ -195,7 +206,7 @@ class TestHighsInputGolden:
                 inst.network,
                 tuple(d for d in inst.demands if d.id not in triples.non_reroutable),
             )
-        model = build_model(inst, triples, "trimmed", mode)
+        model = build_model(inst, triples, variant, mode)
         assert highs_input_digest(highs_input(model, monkeypatch)) == highs
         assert hashlib.sha256(emit_lp_text(model).encode("utf-8")).hexdigest() == lp
 
