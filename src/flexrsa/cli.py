@@ -154,7 +154,7 @@ def answer(
     report = None
     if outcome.assignment is not None:
         try:
-            result = extract_paths(outcome.assignment, model, instance, triples)
+            result = extract_paths(outcome.assignment, model, instance)
         except ExtractionError as exc:
             meta["extraction_error"] = str(exc)
         else:

@@ -5,7 +5,8 @@ assignment that does not decompose into one simple path per routed demand
 (split flow, leftover cyclic components, a broken color block) raises
 ExtractionError - that indicates a model bug, not bad input. Verification
 re-checks every routed path against the original instance and reports all
-violations instead of raising.
+violations instead of raising; its per-path checks are
+`model.path_violations`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .milp import FlowVar, MilpModel, SelectVar
-from .model import (
-    RestorationInstance,
-    RoutedPath,
-    paths_intersect,
-    walk_node_sequence,
-)
+from .model import RestorationInstance, RoutedPath, path_violations, paths_intersect
 
 
 class ExtractionError(RuntimeError):
@@ -39,10 +35,7 @@ class ExtractResult:
 
 
 def extract_paths(
-    assignment: dict,
-    model: MilpModel,
-    instance: RestorationInstance,
-    triples=None,
+    assignment: dict, model: MilpModel, instance: RestorationInstance
 ) -> ExtractResult:
     """Reconstruct one RoutedPath per routed demand from a 0/1 assignment."""
     net = instance.network
@@ -163,7 +156,6 @@ class VerificationReport:
 
 def verify_solution(paths: dict, instance: RestorationInstance) -> VerificationReport:
     """Check per-path validity and pairwise non-intersection; empty report = certified."""
-    net = instance.network
     report = VerificationReport()
     known = {d.id: d for d in instance.demands}
 
@@ -172,36 +164,8 @@ def verify_solution(paths: dict, instance: RestorationInstance) -> VerificationR
         if demand is None:
             report.add("unknown-demand", (demand_id,), "not part of the instance")
             continue
-        seq = walk_node_sequence(path.links, demand.s)
-        if seq is None:
-            report.add("structure", (demand_id,), "links do not form a walk from the source")
-            continue
-        if seq[-1] != demand.t:
-            report.add("endpoints", (demand_id,), f"walk ends at {seq[-1]!r}, not {demand.t!r}")
-        if path.width != demand.width:
-            report.add(
-                "width", (demand_id,),
-                f"path width {path.width} differs from demand width {demand.width}",
-            )
-        if path.first_color < 1 or path.first_color + path.width - 1 > net.slot_count:
-            report.add(
-                "spectrum", (demand_id,),
-                f"colors {path.first_color}..{path.first_color + path.width - 1} "
-                f"outside 1..{net.slot_count}",
-            )
-        if path.length() > demand.reach:
-            report.add(
-                "reach", (demand_id,),
-                f"length {path.length()} exceeds reach {demand.reach}",
-            )
-        for link in path.links:
-            free = net.available.get(link.id, frozenset())
-            missing = [c for c in path.colors() if c not in free]
-            if missing:
-                report.add(
-                    "availability", (demand_id,),
-                    f"colors {missing} not free on link {link.id}",
-                )
+        for kind, detail in path_violations(path, demand, instance.network):
+            report.add(kind, (demand_id,), detail)
 
     items = sorted(paths.items())
     for i, (id1, p1) in enumerate(items):

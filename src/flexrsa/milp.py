@@ -6,7 +6,7 @@ Three variants over binary flow variables x[demand, directed link, color]:
   colors are fixed to 0; contiguity uses the window family for c >= 2 plus the
   activation family only at the bottom of the spectrum.
 * ``notrim``  - variables only for free colors (c in C_l), full constraints,
-  first-color candidates derived from C_l alone.
+  first-color candidates derived from C_l alone (`trimming.free_windows`).
 * ``trimmed`` - variables only for useful triples from the trimming pass,
   full constraints, first-color candidates from trimming.
 
@@ -20,8 +20,9 @@ row bounds, and a name per row. Columns come out in demand, link, direction
 (forward first), color order, then the selectors; rows family by family, each
 family in sorted demand/link/color order. `Rows` is the one way from rows to a
 CSR matrix; `lp_driver` puts the rows of a parsed LP file through it too. The
-per-row dict view (`MilpModel.constraints`) is derived from the arrays only
-when something reads it.
+flow rows walk the network's own index form (`OpticalNetwork.adj` / `ends`).
+The per-row dict view (`MilpModel.constraints`) is derived from the arrays
+only when something reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 import numpy as np
 
 from .model import InputError, RestorationInstance
-from .trimming import UsefulTripleSet
+from .trimming import UsefulTripleSet, availability, free_windows
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -235,42 +236,43 @@ def _variant_colors(instance, triples, variant):
     if variant == "trimmed":
         for d, l, c in triples.useful:
             useful.setdefault((d, l), []).append(c)
+    elif variant == "notrim":
+        avail = availability(net)
+        by_width: dict = {}  # width -> per link position, its free windows' first colors
+        for w in {d.width for d in instance.demands}:
+            windows = free_windows(avail, w)
+            by_width[w] = [
+                frozenset(c for c, active in enumerate(windows, start=1) if active[e])
+                for e in range(len(net.links))
+            ]
     cols: dict = {}
     first: dict = {}
     for d in instance.demands:
-        w = d.width
-        last_first = net.slot_count - w + 1
-        for l in net.links:
+        for e, l in enumerate(net.links):
             key = (d.id, l.id)
-            free = net.available[l.id]
             if variant == "base":
                 cols[key] = all_colors
                 first[key] = all_set
             elif variant == "notrim":
-                cols[key] = sorted(free)
-                first[key] = {
-                    c
-                    for c in free
-                    if c <= last_first and all(c + k in free for k in range(w))
-                }
+                cols[key] = sorted(net.available[l.id])
+                first[key] = by_width[d.width][e]
             else:  # trimmed
                 cols[key] = sorted(useful.get(key, ()))
                 first[key] = triples.first_colors_of(d.id, l.id)
     return cols, first
 
 
-def _out_in(incident: list, on: dict):
-    """(outgoing, incoming) columns at a node, for one demand and color.
-
-    incident: the node's (link index, node is the link's u) pairs; on: link
-    index -> (forward column, backward column) of the links carrying the color.
+def _out_in(net, node: int, on: dict):
+    """(outgoing, incoming) columns at a node position, for one demand and
+    color. on: link position -> (forward column, backward column) of the
+    links carrying the color; forward runs from the link's u to its v.
     """
     out, inn = [], []
-    for li, at_u in incident:
+    for li, _ in net.adj[node]:
         pair = on.get(li)
         if pair is not None:
             fwd, bwd = pair
-            if at_u:
+            if net.ends[li][0] == node:
                 out.append(fwd)
                 inn.append(bwd)
             else:
@@ -331,13 +333,6 @@ def build_model(
     if mode == "maxsubset":
         variables.extend(SelectVar(d.id) for d in demands)
 
-    node_index = {n: i for i, n in enumerate(net.nodes)}
-    ends = [(node_index[l.u], node_index[l.v]) for l in links]
-    incident: list = [[] for _ in net.nodes]
-    for li, (u, v) in enumerate(ends):
-        incident[u].append((li, True))
-        incident[v].append((li, False))
-
     rows = Rows()
 
     # flow conservation at inner nodes, per demand and color; the source's
@@ -353,20 +348,20 @@ def build_model(
                 pair = (start + k, start + n + k)
                 on_color[c][li] = pair
                 by_color.setdefault(c, []).extend(pair)
-        s, t = node_index[d.s], node_index[d.t]
+        s, t = net.node_index[d.s], net.node_index[d.t]
         out_all, in_all = [], []
         for c in range(1, slots + 1):
             on = on_color[c]
             if not on:
                 continue
-            out, inn = _out_in(incident[s], on)
+            out, inn = _out_in(net, s, on)
             out_all += out
             in_all += inn
-            inner = {x for li in on for x in ends[li]}
+            inner = {x for li in on for x in net.ends[li]}
             inner.discard(s)
             inner.discard(t)
             for node in sorted(inner):
-                out, inn = _out_in(incident[node], on)
+                out, inn = _out_in(net, node, on)
                 rows.add(
                     f"flow_d{d.id}_c{c}_n{node}",
                     out + inn, [1] * len(out) + [-1] * len(inn), "=", 0,

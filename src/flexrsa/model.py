@@ -4,6 +4,12 @@ All types here are immutable after construction and safe to share across
 threads. Colors (spectrum slots) are 1-based integers in {1..C}; links are
 undirected and may be parallel (the integer id disambiguates). Direction is
 introduced only inside the MILP builder.
+
+`OpticalNetwork` builds the one index form of its graph at construction
+(node positions, link ends, adjacency by position) that trimming, the MILP
+builder and the generator's router read. `path_violations` is the one rule
+for whether a routed path serves a demand; `is_valid_path` and the verifier
+both apply it.
 """
 
 from __future__ import annotations
@@ -89,9 +95,17 @@ class OpticalNetwork:
         nodes: Node ids, in construction order.
         links: Links sorted by id.
         available: Mapping link id -> frozenset of free colors (subset of {1..C}).
+        node_index: Node id -> its position in `nodes`.
+        ends: Per link position (index into `links`): the positions of its
+            u and v.
+        adj: Per node position: the (link position, other node position)
+            pairs of its links, in link-id order.
     """
 
-    __slots__ = ("slot_count", "nodes", "links", "available", "_by_id", "_adjacency")
+    __slots__ = (
+        "slot_count", "nodes", "links", "available", "_by_id",
+        "node_index", "ends", "adj",
+    )
 
     def __init__(
         self,
@@ -137,23 +151,21 @@ class OpticalNetwork:
             avail[link.id] = colors
         self.available = avail
 
-        adjacency: dict[NodeId, list[Link]] = {n: [] for n in self.nodes}
-        for link in self.links:
-            adjacency[link.u].append(link)
-            adjacency[link.v].append(link)
-        self._adjacency = {n: tuple(ls) for n, ls in adjacency.items()}
+        self.node_index = {n: i for i, n in enumerate(self.nodes)}
+        self.ends = tuple(
+            (self.node_index[l.u], self.node_index[l.v]) for l in self.links
+        )
+        adj: list = [[] for _ in self.nodes]
+        for e, (u, v) in enumerate(self.ends):
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+        self.adj = tuple(tuple(pairs) for pairs in adj)
 
     def link(self, link_id: int) -> Link:
         try:
             return self._by_id[link_id]
         except KeyError:
             raise InputError(f"unknown link id {link_id}") from None
-
-    def incident(self, node: NodeId) -> tuple[Link, ...]:
-        try:
-            return self._adjacency[node]
-        except KeyError:
-            raise InputError(f"unknown node {node!r}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -227,31 +239,46 @@ def walk_node_sequence(links: tuple[Link, ...], start: NodeId) -> Optional[list]
     return seq
 
 
-def is_valid_path(path: RoutedPath, demand: Demand, network: OpticalNetwork) -> bool:
-    """True iff the path routes the demand: right endpoints, within reach,
-    and the demand's full color range is free on every traversed link.
+def path_violations(path: RoutedPath, demand: Demand, network: OpticalNetwork) -> list:
+    """The (kind, detail) pairs of every way the path fails to route the
+    demand; empty iff it routes it.
 
-    Returns False (never raises) when the link sequence is not a well-formed
-    walk from demand.s to demand.t.
+    A path must be a well-formed walk from demand.s ("structure"; when it is
+    not, nothing else is checked) that ends at demand.t ("endpoints"), have
+    the demand's width ("width") and colors within 1..C ("spectrum"), be
+    within reach ("reach"), and find its colors free on every link
+    ("availability", once per link).
     """
     seq = walk_node_sequence(path.links, demand.s)
-    if seq is None or seq[-1] != demand.t:
-        return False
-    w = demand.width
-    if path.width != w:
-        return False
-    if path.first_color < 1 or path.first_color + w - 1 > network.slot_count:
-        return False
+    if seq is None:
+        return [("structure", "links do not form a walk from the source")]
+    out = []
+    if seq[-1] != demand.t:
+        out.append(("endpoints", f"walk ends at {seq[-1]!r}, not {demand.t!r}"))
+    if path.width != demand.width:
+        out.append((
+            "width",
+            f"path width {path.width} differs from demand width {demand.width}",
+        ))
+    last = path.first_color + path.width - 1
+    if path.first_color < 1 or last > network.slot_count:
+        out.append((
+            "spectrum",
+            f"colors {path.first_color}..{last} outside 1..{network.slot_count}",
+        ))
     if path.length() > demand.reach:
-        return False
-    needed = range(path.first_color, path.first_color + w)
+        out.append(("reach", f"length {path.length()} exceeds reach {demand.reach}"))
     for link in path.links:
-        free = network.available.get(link.id)
-        if free is None:
-            return False
-        if any(c not in free for c in needed):
-            return False
-    return True
+        free = network.available.get(link.id, frozenset())
+        missing = [c for c in path.colors() if c not in free]
+        if missing:
+            out.append(("availability", f"colors {missing} not free on link {link.id}"))
+    return out
+
+
+def is_valid_path(path: RoutedPath, demand: Demand, network: OpticalNetwork) -> bool:
+    """True iff the path routes the demand (no `path_violations`)."""
+    return not path_violations(path, demand, network)
 
 
 def paths_intersect(p1: RoutedPath, p2: RoutedPath) -> bool:

@@ -54,6 +54,16 @@ class OracleGuard:
             raise OracleGuardError("walk enumeration requires positive link lengths")
 
 
+def _neighbors(links) -> dict:
+    """Node id -> its (link, other node id) pairs, in the order of `links`.
+    The oracle's own adjacency, kept apart from `OpticalNetwork.adj`."""
+    adj: dict = {}
+    for l in links:
+        adj.setdefault(l.u, []).append((l, l.v))
+        adj.setdefault(l.v, []).append((l, l.u))
+    return adj
+
+
 def bellman_ford_distances(edges, nodes, root) -> dict:
     """Shortest distances from root over undirected weighted (u, v, length) edges."""
     dist = {n: INF for n in nodes}
@@ -81,14 +91,14 @@ def enumerate_simple_paths(network: OpticalNetwork, demand: Demand) -> list:
     lb = bellman_ford_distances(
         [(l.u, l.v, l.length) for l in network.links], network.nodes, demand.t
     )
+    adj = _neighbors(network.links)
     paths = []
 
     def dfs(node, visited, acc, links):
         if node == demand.t:
             paths.append(tuple(links))
             return
-        for link in network.incident(node):
-            other = link.other(node)
+        for link, other in adj.get(node, ()):
             if other in visited:
                 continue
             nd = acc + link.length
@@ -261,10 +271,7 @@ def _mark_reachable_edges(network, active, s, t, reach):
     if not candidates:
         return set()
 
-    adj: dict = {}
-    for l in active:
-        adj.setdefault(l.u, []).append((l, l.v))
-        adj.setdefault(l.v, []).append((l, l.u))
+    adj = _neighbors(active)
     marked: set = set()
 
     def dfs(node, acc, used):

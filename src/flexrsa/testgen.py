@@ -30,7 +30,7 @@ from .model import (
     RestorationInstance,
     RoutedPath,
 )
-from .trimming import adjacency, dijkstra, free_windows
+from .trimming import dijkstra, free_windows
 
 MODULATION_REACH_KM = {"bpsk": 5000.0, "qpsk": 2500.0, "8qam": 1250.0}
 
@@ -69,9 +69,6 @@ class LoadedNetwork:
     width_schedule: tuple
     log: tuple
 
-    def mains(self) -> dict:
-        return {pd.demand.id: pd.main for pd in self.provisioned}
-
     def eligible_links(self) -> list:
         """Links carrying at least one main path of width > 1."""
         out = set()
@@ -99,10 +96,10 @@ class _Router:
     """First-fit shortest-valid routing over a mutable occupation state."""
 
     def __init__(self, topology: OpticalNetwork):
-        self.node_index = {n: i for i, n in enumerate(topology.nodes)}
+        self.node_index = topology.node_index
         self.links = topology.links
         self.edge_index = {l.id: e for e, l in enumerate(self.links)}
-        self.adj = adjacency(topology)
+        self.adj = topology.adj
         self.lengths = [l.length for l in self.links]
         m = len(self.links)
         c = topology.slot_count
@@ -188,16 +185,8 @@ def generate_loaded_network(
     width_schedule=(1, 4, 2, 1),
     seed: int = 0,
     modulation: Optional[str] = None,
-    phase_passes=None,
 ) -> LoadedNetwork:
-    """Load a pristine topology with shared-path-protected demands.
-
-    phase_passes gives the number of shuffled passes per width phase (None
-    entry = repeat until a pass routes nothing). The default runs one pass
-    per phase and exhausts the last one; exhausting an early width-1 phase
-    would leave no room for any wider demand, since a pair routable at width
-    w is also routable at width 1.
-    """
+    """Load a pristine topology with shared-path-protected demands."""
     for link in topology.links:
         if len(topology.available[link.id]) != topology.slot_count:
             raise GenerationError(
@@ -237,22 +226,20 @@ def generate_loaded_network(
         )
         return True
 
-    if phase_passes is None:
-        phase_passes = (1,) * (len(width_schedule) - 1) + (None,)
-    if len(phase_passes) != len(width_schedule):
-        raise GenerationError("phase_passes must match the width schedule")
-
-    for width, passes in zip(width_schedule, phase_passes):
-        done = 0
-        while passes is None or done < passes:
+    # one shuffled pass per width phase, and the last phase repeats until a
+    # pass routes nothing; exhausting an early width-1 phase would leave no
+    # room for any wider demand, since a pair routable at width w is also
+    # routable at width 1
+    last = len(width_schedule) - 1
+    for phase, width in enumerate(width_schedule):
+        while True:
             order = pairs[:]
             rng.shuffle(order)
             progress = False
             for s, t in order:
                 if attempt(s, t, width):
                     progress = True
-            done += 1
-            if not progress:
+            if phase < last or not progress:
                 break
 
     network = _restrict_network(

@@ -7,8 +7,12 @@ color set and the whole range to the useful triple set. Demands whose every
 range graph leaves t_d out of reach are non re-routable, which alone proves
 the instance infeasible.
 
-The module's Dijkstra is the package's only shortest-path search; the loader's
-first-fit router (:mod:`flexrsa.testgen`) uses it too.
+The scan reads the network's index form (`OpticalNetwork.adj`, `ends`,
+`node_index`) and builds no graph of its own. The module's Dijkstra is the
+package's only shortest-path search; the loader's first-fit router
+(:mod:`flexrsa.testgen`) uses it too, and `free_windows` is the one rule for
+which links can carry a color window (the MILP builder's notrim first colors
+come from it as well).
 """
 
 from __future__ import annotations
@@ -46,20 +50,11 @@ class UsefulTripleSet:
         return self.first_colors.get((demand_id, link_id), frozenset())
 
 
-def adjacency(network: OpticalNetwork) -> list:
-    """Per node index (position in `network.nodes`): the (edge index, other
-    node index) pairs of its links, in link-id order. Edge e is network.links[e]."""
-    node_index = {n: i for i, n in enumerate(network.nodes)}
-    adj: list = [[] for _ in network.nodes]
-    for e, link in enumerate(network.links):
-        u, v = node_index[link.u], node_index[link.v]
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    return adj
-
-
-def dijkstra(adj: list, lengths: list, active: list, root: int):
+def dijkstra(adj, lengths: list, active: list, root: int):
     """Shortest distances from `root` over the edges e with active[e].
+
+    adj is a network's `OpticalNetwork.adj`: per node position, its (edge
+    position, other node position) pairs; edge e is network.links[e].
 
     Returns (dist, pred): dist[n] is INF for unreachable nodes; pred[n] is the
     edge by which the shortest path enters n (-1 for the root and unreachable
@@ -108,10 +103,8 @@ def availability(network: OpticalNetwork) -> np.ndarray:
 def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     """Run the trimming scan for every demand of the instance."""
     net = instance.network
-    node_index = {n: i for i, n in enumerate(net.nodes)}
-    adj = adjacency(net)
+    adj, ends, node_index = net.adj, net.ends, net.node_index
     lengths = [l.length for l in net.links]
-    ends = [(node_index[l.u], node_index[l.v]) for l in net.links]
     avail = availability(net)
 
     useful = set()

@@ -53,6 +53,22 @@ def t1_low_reach(t1):
     return RestorationInstance(t1.network, (Demand(1, 1, 3, 1, 1.5),))
 
 
+@pytest.fixture
+def two_route_reach():
+    """One demand a->c at reach 0.3 km over a-b-c (0.1 + 0.2 km) or a-d-e-c
+    (3 x 0.05 km). In floats 0.1 + 0.2 > 0.3, so the 2-hop route sits on
+    the reach boundary."""
+    links = [
+        Link(1, "a", "b", 0.1),
+        Link(2, "b", "c", 0.2),
+        Link(3, "a", "d", 0.05),
+        Link(4, "d", "e", 0.05),
+        Link(5, "e", "c", 0.05),
+    ]
+    net = make_network(list("abcde"), links, {l.id: [1] for l in links}, 1)
+    return RestorationInstance(net, (Demand(1, "a", "c", 1, 0.3),))
+
+
 def corpus_instances(count=200, base_seed=1000):
     from flexrsa.oracle import random_instance
 

@@ -138,7 +138,7 @@ def test_criterion_02_end_to_end_feasibility(trimmed_runs):
                 bad.append((seed, outcome.status, outcome.objective,
                             oracle.min_total_slots))
                 continue
-            result = extract_paths(outcome.assignment, model, inst, triples)
+            result = extract_paths(outcome.assignment, model, inst)
             if not verify_solution(result.paths, inst).ok:
                 bad.append((seed, "verify"))
             elif result.total_slots() != outcome.objective:

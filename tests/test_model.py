@@ -27,6 +27,17 @@ def range_links(network, c, w):
     return {link.id for link, free in zip(network.links, window) if free}
 
 
+class TestGraphIndex:
+    def test_positions_ends_and_adjacency_in_link_id_order(self):
+        # links given out of id order, with a parallel pair between b and c
+        links = [Link(7, "c", "b", 1.0), Link(2, "a", "b", 1.0), Link(5, "b", "c", 2.0)]
+        net = OpticalNetwork(["a", "b", "c"], links, {}, 1)
+        assert [l.id for l in net.links] == [2, 5, 7]
+        assert net.node_index == {"a": 0, "b": 1, "c": 2}
+        assert net.ends == ((0, 1), (1, 2), (2, 1))
+        assert net.adj == (((0, 1),), ((0, 0), (1, 2), (2, 2)), ((1, 1), (2, 1)))
+
+
 class TestColorGraph:
     def test_t1_all_links(self, t1):
         assert range_links(t1.network, 1, 1) == {1, 2, 3}

@@ -6,7 +6,6 @@ from flexrsa.oracle import (
 )
 from flexrsa.trimming import (
     INF,
-    adjacency,
     availability,
     compute_useful_triples,
     dijkstra,
@@ -26,7 +25,7 @@ def color_one_dijkstra(net, root):
     """Dijkstra from node `root` over the links on which color 1 is free."""
     active = free_windows(availability(net), 1)[0]
     lengths = [l.length for l in net.links]
-    return dijkstra(adjacency(net), lengths, active, net.nodes.index(root))
+    return dijkstra(net.adj, lengths, active, net.node_index[root])
 
 
 class TestShortestDistances:
