@@ -27,6 +27,7 @@ import numpy as np
 
 from .lpformat import emit_lp_text, var_name
 from .milp import MilpModel
+from .model import InputError
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -62,7 +63,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.time_limit > 0:
-            raise ValueError("time limit must be positive")
+            raise InputError(f"time limit must be positive, got {self.time_limit}")
 
 
 @dataclass

@@ -15,7 +15,6 @@ identity and tool version.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -32,9 +31,9 @@ from .backend import (
     solve as backend_solve,
 )
 from .extract import ExtractionError, extract_paths, solution_to_dict, verify_solution
-from .io import dump_json, dumps_json, instance_to_dict, load_instance
+from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution_paths
 from .milp import build_model, model_statistics
-from .model import InputError, RestorationInstance, RoutedPath
+from .model import InputError, RestorationInstance
 from .oracle import OracleGuard, OracleGuardError, oracle_solve
 from .testgen import (
     BUILTIN_TOPOLOGIES,
@@ -216,12 +215,17 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     topo_path = _resolve_topology(args.topology)
     topology = load_instance(topo_path).network
-    if args.slot_count:
+    if args.slot_count is not None:
         full = {l.id: range(1, args.slot_count + 1) for l in topology.links}
         topology = type(topology)(
             topology.nodes, topology.links, full, args.slot_count
         )
-    widths = tuple(int(w) for w in args.widths.split(","))
+    try:
+        widths = tuple(int(w) for w in args.widths.split(","))
+    except ValueError:
+        raise InputError(
+            f"--widths must be comma-separated integers, got {args.widths!r}"
+        ) from None
     loaded = generate_loaded_network(
         topology,
         reach_km=MODULATION_REACH_KM[args.modulation],
@@ -275,20 +279,7 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    paths = {}
-    for entry in doc.get("paths", []):
-        try:
-            links = tuple(instance.network.link(i) for i in entry["links"])
-        except InputError as exc:
-            print(f"solution references {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        paths[entry["demand"]] = RoutedPath(
-            links=links,
-            first_color=entry["first_color"],
-            width=entry["width"],
-        )
+    paths = load_solution_paths(args.solution, instance.network)
     report = verify_solution(paths, instance)
     _emit(
         {
@@ -402,10 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GenerationError, OracleGuardError, SolverNotFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (InputError, GenerationError, OracleGuardError, SolverNotFound, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .model import Demand, InputError, Link, OpticalNetwork, RestorationInstance
+from .model import Demand, InputError, Link, OpticalNetwork, RestorationInstance, RoutedPath
 
 
 def normalize_colors(raw: Any, where: str) -> list[int]:
@@ -65,6 +65,16 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _integer(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{where}: must be an integer")
+    return value
+
+
+def _require_int(obj: dict, key: str, where: str) -> int:
+    return _integer(_require(obj, key, where), f"{where}/{key}")
+
+
 def instance_from_dict(data: dict) -> RestorationInstance:
     if not isinstance(data, dict):
         raise InputError("/: instance document must be a JSON object")
@@ -79,9 +89,7 @@ def instance_from_dict(data: dict) -> RestorationInstance:
         where = f"/links/{i}"
         if not isinstance(raw, dict):
             raise InputError(f"{where}: must be an object")
-        link_id = _require(raw, "id", where)
-        if not isinstance(link_id, int):
-            raise InputError(f"{where}/id: must be an integer")
+        link_id = _require_int(raw, "id", where)
         length = _require(raw, "length_km", where)
         if not isinstance(length, (int, float)) or isinstance(length, bool):
             raise InputError(f"{where}/length_km: must be a number")
@@ -102,15 +110,13 @@ def instance_from_dict(data: dict) -> RestorationInstance:
         where = f"/demands/{i}"
         if not isinstance(raw, dict):
             raise InputError(f"{where}: must be an object")
-        width = _require(raw, "width", where)
+        width = _require_int(raw, "width", where)
         reach = _require(raw, "reach_km", where)
-        if not isinstance(width, int) or isinstance(width, bool):
-            raise InputError(f"{where}/width: must be an integer")
         if not isinstance(reach, (int, float)) or isinstance(reach, bool):
             raise InputError(f"{where}/reach_km: must be a number")
         demands.append(
             Demand(
-                id=_require(raw, "id", where),
+                id=_require_int(raw, "id", where),
                 s=_require(raw, "s", where),
                 t=_require(raw, "t", where),
                 width=width,
@@ -149,13 +155,45 @@ def instance_to_dict(instance: RestorationInstance) -> dict:
     }
 
 
-def load_instance(path: str) -> RestorationInstance:
+def _read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data)
+
+
+def load_instance(path: str) -> RestorationInstance:
+    return instance_from_dict(_read_json(path))
+
+
+def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
+    """{demand id: RoutedPath} of a solution file's "paths" entries."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError("/: solution document must be a JSON object")
+    entries = data.get("paths", [])
+    if not isinstance(entries, list):
+        raise InputError("/paths: must be a list")
+    paths = {}
+    for i, raw in enumerate(entries):
+        where = f"/paths/{i}"
+        if not isinstance(raw, dict):
+            raise InputError(f"{where}: must be an object")
+        link_ids = _require(raw, "links", where)
+        if not isinstance(link_ids, list):
+            raise InputError(f"{where}/links: must be a list")
+        ids = [_integer(x, f"{where}/links/{k}") for k, x in enumerate(link_ids)]
+        try:
+            links = tuple(network.link(x) for x in ids)
+        except InputError as exc:
+            raise InputError(f"{where}/links: solution references {exc}") from None
+        paths[_require_int(raw, "demand", where)] = RoutedPath(
+            links=links,
+            first_color=_require_int(raw, "first_color", where),
+            width=_require_int(raw, "width", where),
+        )
+    return paths
 
 
 def dump_json(data: dict, path: str) -> None:

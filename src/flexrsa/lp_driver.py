@@ -3,11 +3,10 @@
 `solve_highs` hands a model's arrays (`milp.MilpModel`: objective, CSR rows
 and their bounds, column upper bounds) to `scipy.optimize.milp` untouched;
 `backend.solve` calls it for `--solver builtin`. `solve_lp_file` reads an LP
-file back with `lpformat.parse_lp_text`, puts its rows through `milp.Rows`
-as the builder does (`lp_matrix`), solves it the same way and writes a
-CBC-style solution file (status line, then one row per variable: index,
-name, value, reduced cost), so an emitted LP can be solved and checked
-without the model.
+file that `lpformat.emit_lp_text` printed back into the same matrix
+(`lpformat.parse_lp_text`), solves it the same way and writes a CBC-style
+solution file (status line, then one row per variable: index, name, value,
+reduced cost), so an emitted LP can be solved and checked without the model.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .backend import ERROR, INFEASIBLE, OPTIMAL, TIMELIMIT
-from .lpformat import ParsedLp, parse_lp_text
-from .milp import Rows
+from .lpformat import parse_lp_text
 
 # scipy.optimize.milp status -> outcome status; any other is an error
 _STATUS = {0: OPTIMAL, 1: TIMELIMIT, 2: INFEASIBLE}
@@ -70,40 +68,15 @@ def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
     return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary, seconds)
 
 
-def lp_matrix(parsed: ParsedLp):
-    """(column names, c, a, lower, upper, ub) of a parsed LP: columns in the
-    order of its Binary section, rows put through `milp.Rows`."""
-    names = list(dict.fromkeys(parsed.binary))
-    index = {name: j for j, name in enumerate(names)}
-    c = np.zeros(len(names))
-    for name, coeff in parsed.objective.items():
-        c[index[name]] = coeff
-    ub = np.ones(len(names))
-    for name in parsed.fixed:
-        ub[index[name]] = 0.0
-    rows = Rows()
-    for tag, coeffs, relation, rhs in parsed.constraints:
-        rows.add(tag, [index[name] for name in coeffs], list(coeffs.values()), relation, rhs)
-    a, lower, upper = rows.matrix(len(names))
-    return names, c, a, lower, upper, ub
-
-
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
     """Solve an LP file as the builtin solver would; write a CBC-style
     solution file and return 0."""
     with open(lp_path, "r", encoding="utf-8") as fh:
-        parsed = parse_lp_text(fh.read())
-    if parsed.sense != "min":
-        raise ValueError("driver only handles minimization")
-    if any(bounds != (0.0, 0.0) for bounds in parsed.fixed.values()):
-        raise ValueError("driver only handles columns fixed at 0")
-
-    names, *arrays = lp_matrix(parsed)
+        names, *arrays, _ = parse_lp_text(fh.read())
     outcome = solve_highs(*arrays, time_limit)
     if outcome.values is not None:
-        objective = outcome.objective + parsed.objective_constant
         head = {OPTIMAL: "Optimal", TIMELIMIT: "Stopped on time limit"}[outcome.status]
-        header = f"{head} - objective value {objective:.12g}"
+        header = f"{head} - objective value {outcome.objective:.12g}"
     elif outcome.status == INFEASIBLE:
         header = "Infeasible - objective value 0"
     elif outcome.status == TIMELIMIT:

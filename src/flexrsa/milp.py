@@ -19,10 +19,10 @@ column keys, an objective vector, column upper bounds, one CSR row matrix with
 row bounds, and a name per row. Columns come out in demand, link, direction
 (forward first), color order, then the selectors; rows family by family, each
 family in sorted demand/link/color order. `Rows` is the one way from rows to a
-CSR matrix; `lp_driver` puts the rows of a parsed LP file through it too. The
-flow rows walk the network's own index form (`OpticalNetwork.adj` / `ends`).
-The per-row dict view (`MilpModel.constraints`) is derived from the arrays
-only when something reads it.
+CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it
+too. The flow rows walk the network's own index form (`OpticalNetwork.adj` /
+`ends`). The per-row dict view (`MilpModel.constraints`) is derived from the
+arrays only when something reads it.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class LinearConstraint:
     coeffs: dict
     relation: str  # "<=", "=", ">="
     rhs: float
-
-    @property
-    def family(self) -> str:
-        return row_family(self.tag)
 
 
 class Rows:
@@ -168,22 +164,6 @@ class MilpModel:
             out.append(LinearConstraint(name, coeffs, *row_relation(lo, hi)))
         return tuple(out)
 
-    @cached_property
-    def objective(self) -> dict:
-        """{column key: objective coefficient} over the nonzero coefficients."""
-        return {key: v for key, v in zip(self.variables, self.c.tolist()) if v}
-
-    @cached_property
-    def fixed_zero(self) -> frozenset:
-        """The keys of the columns fixed at zero."""
-        return frozenset(self.variables[j] for j in np.flatnonzero(self.ub == 0))
-
-    def flow_variables(self) -> list:
-        return [v for v in self.variables if isinstance(v, FlowVar)]
-
-    def select_variables(self) -> list:
-        return [v for v in self.variables if isinstance(v, SelectVar)]
-
 
 @dataclass(frozen=True)
 class ModelStatistics:
@@ -214,7 +194,7 @@ def model_statistics(model: MilpModel) -> ModelStatistics:
     for name in model.row_names:
         family = row_family(name)
         by_family[family] = by_family.get(family, 0) + 1
-    select = len(model.select_variables())
+    select = int(np.count_nonzero(model.c < 0))  # only selectors have negative cost
     return ModelStatistics(
         variant=model.variant,
         mode=model.mode,

@@ -342,26 +342,27 @@ def oracle_useful_triples(
 # Random small-instance corpus
 # ---------------------------------------------------------------------------
 
-def random_instance(
-    rng: random.Random,
-    max_nodes: int = 6,
-    max_links: int = 9,
-    max_colors: int = 5,
-    max_demands: int = 3,
-    max_width: int = 2,
-) -> RestorationInstance:
+# the sizes random_instance draws up to, all within the default OracleGuard
+MAX_NODES = 6
+MAX_LINKS = 9
+MAX_COLORS = 5
+MAX_DEMANDS = 3
+MAX_WIDTH = 2
+
+
+def random_instance(rng: random.Random) -> RestorationInstance:
     """Seeded random connected multigraph instance within the oracle guard.
 
     Integer lengths 1..5, random per-link color subsets, and reaches drawn as
     shortest-path length plus a small slack so that roughly half the demands
     are tight.
     """
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(2, MAX_NODES)
     nodes = list(range(1, n + 1))
     links = []
     for i in range(2, n + 1):  # random spanning tree keeps it connected
         links.append((rng.randint(1, i - 1), i))
-    for _ in range(rng.randint(0, max(max_links - (n - 1), 0))):
+    for _ in range(rng.randint(0, max(MAX_LINKS - (n - 1), 0))):
         u = rng.randint(1, n)
         v = rng.randint(1, n)
         if u != v:
@@ -370,7 +371,7 @@ def random_instance(
         Link(id=i + 1, u=u, v=v, length=float(rng.randint(1, 5)))
         for i, (u, v) in enumerate(links)
     ]
-    slot_count = rng.randint(1, max_colors)
+    slot_count = rng.randint(1, MAX_COLORS)
     available = {
         l.id: [c for c in range(1, slot_count + 1) if rng.random() < 0.75]
         for l in link_objs
@@ -379,9 +380,9 @@ def random_instance(
 
     full_edges = [(l.u, l.v, l.length) for l in link_objs]
     demands = []
-    for j in range(rng.randint(1, max_demands)):
+    for j in range(rng.randint(1, MAX_DEMANDS)):
         s, t = rng.sample(nodes, 2)
-        width = rng.randint(1, min(max_width, slot_count))
+        width = rng.randint(1, min(MAX_WIDTH, slot_count))
         sp = bellman_ford_distances(full_edges, nodes, s)[t]
         base = sp if sp < INF else float(rng.randint(1, 8))
         reach = base + rng.choice([0, 0, 1, 2, 4])

@@ -193,6 +193,12 @@ def generate_loaded_network(
                 f"topology link {link.id} is not fully available; loading "
                 "expects a pristine network"
             )
+    for width in width_schedule:
+        # a width-0 demand occupies nothing, so the last phase would never end
+        if not 1 <= width <= topology.slot_count:
+            raise GenerationError(
+                f"width {width} is outside 1..{topology.slot_count} (the slot count)"
+            )
     rng = random.Random(seed)
     router = _Router(topology)
     pairs = [(s, t) for s in topology.nodes for t in topology.nodes if s != t]

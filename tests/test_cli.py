@@ -240,6 +240,10 @@ class TestOracle:
         assert main(["oracle", t1_file, "--max-nodes", "1"]) == 1
 
 
+# a routed path that t1 accepts: 1 -> 2 -> 3 on color 1
+GOOD_PATH = {"demand": 1, "links": [1, 2], "first_color": 1, "width": 1}
+
+
 class TestGenAndValidate:
     def test_gen_loaded_then_scenario_then_solve(self, tmp_path):
         out_dir = str(tmp_path / "corpus")
@@ -321,6 +325,36 @@ class TestGenAndValidate:
             )
         )
         assert main(["validate", t1_file, str(sol)]) == 1
+
+    @pytest.mark.parametrize("content", [
+        b"{",
+        b"\xff\xfe",
+        b"[]",
+        b'{"paths": 3}',
+        b'{"paths": [7]}',
+        *[json.dumps({"paths": [{k: v for k, v in GOOD_PATH.items() if k != key}]}).encode()
+          for key in GOOD_PATH],
+        *[json.dumps({"paths": [dict(GOOD_PATH, **{key: bad})]}).encode()
+          for key, bad in (("demand", None), ("links", 1), ("links", ["1"]), ("links", [9]),
+                           ("first_color", "1"), ("width", 1.5))],
+    ])
+    def test_validate_refuses_malformed_solution(self, t1_file, tmp_path, capsys, content):
+        sol = tmp_path / "bad.json"
+        sol.write_bytes(content)
+        assert main(["validate", t1_file, str(sol)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("option, value", [
+        ("--widths", ""), ("--widths", "1,x"), ("--widths", "-1"), ("--widths", "0"),
+        ("--widths", "99"), ("--slot-count", "0"),
+    ])
+    def test_gen_refuses_bad_numbers(self, tmp_path, capsys, option, value):
+        out_dir = tmp_path / "out"
+        assert main(
+            ["gen", "grid12", "--modulation", "qpsk", "--out-dir", str(out_dir), option, value]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
     def test_unknown_topology(self, tmp_path):
         assert main(
@@ -450,6 +484,15 @@ class TestBench:
 class TestVersionAndErrors:
     def test_missing_file(self):
         assert main(["trim", "/nonexistent/instance.json"]) == 1
+
+    def test_directory_as_instance(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("limit", ["-5", "0", "nan"])
+    def test_time_limit_must_be_positive(self, t1_file, capsys, limit):
+        assert main(["solve", t1_file, "--time-limit", limit]) == 1
+        assert capsys.readouterr().err.startswith("error: time limit must be positive")
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,50 +1,32 @@
 import numpy as np
 import pytest
 
-from flexrsa.lp_driver import lp_matrix
-from flexrsa.lpformat import (
-    emit_lp_text,
-    parse_lp_text,
-    parse_var_name,
-    var_name,
-)
-from flexrsa.milp import FlowVar, MilpModel, SelectVar, build_model
+from flexrsa.lpformat import emit_lp_text, parse_lp_text, var_name
+from flexrsa.milp import FlowVar, SelectVar, build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.trimming import compute_useful_triples
 
 
 def roundtrip_matches(model):
+    """The printed LP reads back as the model's own solver matrix."""
     text = emit_lp_text(model)
-    parsed = parse_lp_text(text)
-    assert parsed.sense == "min"
-
-    want_obj = {var_name(k): float(v) for k, v in model.objective.items() if v != 0}
-    assert parsed.objective == want_obj
-
-    assert [parse_var_name(n) for n in parsed.binary] == list(model.variables)
-
-    assert len(parsed.constraints) == len(model.constraints)
-    for (tag, coeffs, rel, rhs), con in zip(parsed.constraints, model.constraints):
-        assert tag == con.tag
-        assert rel == con.relation
-        assert rhs == float(con.rhs)
-        want = {var_name(k): float(v) for k, v in con.coeffs.items() if v != 0}
-        assert coeffs == want, tag
-
-    want_fixed = {var_name(k): (0.0, 0.0) for k in model.fixed_zero}
-    assert parsed.fixed == want_fixed
+    names, c, a, lower, upper, ub, row_names = parse_lp_text(text)
+    assert names == [var_name(k) for k in model.variables]
+    assert len(set(names)) == len(names)
+    assert row_names == model.row_names
+    assert a.shape == model.a.shape
+    for got, want in ((a.indptr, model.a.indptr), (a.indices, model.a.indices),
+                      (a.data, model.a.data), (c, model.c), (lower, model.lower),
+                      (upper, model.upper), (ub, model.ub)):
+        assert np.array_equal(got, want)
     return text
 
 
 class TestVariableNames:
-    def test_bijective(self):
-        keys = [FlowVar(3, 14, True, 80), FlowVar(1, 2, False, 1), SelectVar(7)]
-        for key in keys:
-            assert parse_var_name(var_name(key)) == key
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_var_name("z_q1")
+    def test_injective(self):
+        keys = [FlowVar(1, 11, True, 1), FlowVar(11, 1, True, 1), FlowVar(1, 1, True, 11),
+                FlowVar(1, 1, False, 11), SelectVar(1), SelectVar(11)]
+        assert len({var_name(key) for key in keys}) == len(keys)
 
 
 class TestEmission:
@@ -74,8 +56,10 @@ class TestEmission:
         # no variables at all: the infeasible row survives as a constant row
         text = emit_lp_text(model)
         assert "srcout_d1: 0 = 1" in text
-        parsed = parse_lp_text(text)
-        assert parsed.constraints == [("srcout_d1", {}, "=", 1.0)]
+        names, c, a, lower, upper, ub, row_names = parse_lp_text(text)
+        assert row_names == ("srcout_d1",)
+        assert a.nnz == 0
+        assert lower.tolist() == upper.tolist() == [1.0]
 
     def test_long_rows_wrap_and_reparse(self, t4):
         model = build_model(t4, None, "base")
@@ -101,8 +85,7 @@ class TestRoundTripCorpus:
 
 
 class TestMatrixRoundTrip:
-    """The printed LP, read back and put through the rows accumulator that
-    `solve_lp_file` uses, is the matrix the builtin solver gets."""
+    """The printed LP, read back, is the matrix the builtin solver gets."""
 
     def test_corpus_all_variants_and_modes(self, small_corpus):
         for seed, inst in small_corpus:
@@ -113,40 +96,60 @@ class TestMatrixRoundTrip:
             )
             for variant in ("base", "notrim", "trimmed"):
                 for mode, kept in (("feasibility", inst), ("maxsubset", pruned)):
-                    model = build_model(kept, triples, variant, mode)
-                    parsed = parse_lp_text(emit_lp_text(model))
-                    names, c, a, lower, upper, ub = lp_matrix(parsed)
-                    where = (seed, variant, mode)
-                    assert names == [var_name(k) for k in model.variables], where
-                    assert [tag for tag, *_ in parsed.constraints] == list(model.row_names)
-                    assert a.shape == model.a.shape, where
-                    assert np.array_equal(a.indptr, model.a.indptr), where
-                    assert np.array_equal(a.indices, model.a.indices), where
-                    assert np.array_equal(a.data, model.a.data), where
-                    for got, want in ((c, model.c), (lower, model.lower),
-                                      (upper, model.upper), (ub, model.ub)):
-                        assert np.array_equal(got, want), where
+                    roundtrip_matches(build_model(kept, triples, variant, mode))
 
 
-class TestParserDetails:
-    def test_signs_and_constants(self):
-        parsed = parse_lp_text(
-            """Minimize
- obj: 2 x - 3.5 y + z
+# a hand-written document in the printer's dialect
+DOC = """\\ hand-written
+Minimize
+ obj: 2 x - y
 Subject To
- a: x + 1 - y >= -2
- b: - x <= 0
+ a: x + 3 y >= 1
+ b: - x
+  - 0.5 y = -1
+Bounds
+ y = 0
 Binary
  x
  y
- z
 End
 """
-        )
-        assert parsed.objective == {"x": 2.0, "y": -3.5, "z": 1.0}
-        assert parsed.constraints[0] == ("a", {"x": 1.0, "y": -1.0}, ">=", -3.0)
-        assert parsed.constraints[1] == ("b", {"x": -1.0}, "<=", 0.0)
+
+
+class TestParserDetails:
+    def test_signs_and_wrapped_rows(self):
+        names, c, a, lower, upper, ub, row_names = parse_lp_text(DOC)
+        assert names == ["x", "y"]
+        assert c.tolist() == [2.0, -1.0]
+        assert row_names == ("a", "b")
+        assert a.toarray().tolist() == [[1.0, 3.0], [-1.0, -0.5]]
+        assert lower.tolist() == [1.0, -1.0]
+        assert upper.tolist() == [np.inf, -1.0]
+        assert ub.tolist() == [1.0, 0.0]
 
     def test_relation_required(self):
         with pytest.raises(ValueError):
             parse_lp_text("Minimize\n obj: x\nSubject To\n a: x + 1\nBinary\n x\nEnd\n")
+
+    @pytest.mark.parametrize("text", [" a: x >= 1\n" + DOC, DOC + " x\n", DOC + "Binary\n"])
+    def test_line_outside_any_section(self, text):
+        with pytest.raises(ValueError, match="outside any section|after End"):
+            parse_lp_text(text)
+
+    @pytest.mark.parametrize("old, new", [("Minimize", "Maximize"), ("Binary", "General")])
+    def test_unknown_header(self, old, new):
+        with pytest.raises(ValueError, match="unknown section header"):
+            parse_lp_text(DOC.replace(old, new))
+
+    def test_unnamed_row(self):
+        with pytest.raises(ValueError, match="unnamed row"):
+            parse_lp_text(DOC.replace(" a: x", " x"))
+
+    def test_constant_term(self):
+        with pytest.raises(ValueError, match="expected a column name"):
+            parse_lp_text(DOC.replace(" a: x + 3 y >= 1", " a: x + 1 >= 2"))
+
+    @pytest.mark.parametrize("bound", [" y = 1", " y <= 0", " 0 <= y <= 1", " z = 0"])
+    def test_bound_other_than_fixed_at_zero(self, bound):
+        with pytest.raises(ValueError, match="unsupported bound"):
+            parse_lp_text(DOC.replace(" y = 0", bound))

@@ -7,6 +7,7 @@ from flexrsa.milp import (
     SelectVar,
     build_model,
     model_statistics,
+    row_family,
 )
 from flexrsa.model import InputError, RestorationInstance
 from flexrsa.trimming import compute_useful_triples
@@ -20,7 +21,7 @@ class TestVariableSets:
     def test_t1_trimmed_has_eight_flow_vars(self, t1):
         model = trimmed(t1)
         assert model_statistics(model).variables == 8
-        assert {v.link for v in model.flow_variables()} == {1, 2}
+        assert {v.link for v in model.variables} == {1, 2}
 
     def test_t1_base_has_twelve(self, t1):
         model = build_model(t1, None, "base")
@@ -40,9 +41,10 @@ class TestVariableSets:
     def test_base_fixes_occupied_colors(self, t2):
         model = build_model(t2, None, "base")
         # color 1 on link 2 is occupied: both directions fixed to zero
-        assert FlowVar(2, 2, True, 1) in model.fixed_zero
-        assert FlowVar(2, 2, False, 1) in model.fixed_zero
-        assert FlowVar(2, 1, True, 1) not in model.fixed_zero
+        fixed = {model.variables[j] for j in np.flatnonzero(model.ub == 0)}
+        assert FlowVar(2, 2, True, 1) in fixed
+        assert FlowVar(2, 2, False, 1) in fixed
+        assert FlowVar(2, 1, True, 1) not in fixed
 
     def test_variable_count_ordering(self, small_corpus):
         for seed, inst in small_corpus[:15]:
@@ -56,7 +58,10 @@ class TestVariableSets:
         feas = trimmed(t3)
         maxs = trimmed(t3, "maxsubset")
         assert len(maxs.variables) == len(feas.variables) + len(t3.demands)
-        assert len(maxs.select_variables()) == 2
+        assert [v for v in maxs.variables if isinstance(v, SelectVar)] == [
+            SelectVar(1), SelectVar(2)
+        ]
+        assert model_statistics(maxs).select_variables == 2
 
 
 class TestConstraints:
@@ -68,14 +73,14 @@ class TestConstraints:
 
     def test_flow_conservation_only_at_inner_nodes(self, t1):
         model = trimmed(t1)
-        flows = [c for c in model.constraints if c.family == "flow"]
+        flows = [c for c in model.constraints if row_family(c.tag) == "flow"]
         # only node index 1 (node 2) is inner; colors 1 and 2
         assert len(flows) == 2
         assert all("_n1" in c.tag for c in flows)
 
     def test_source_constraints_shape(self, t1):
         model = trimmed(t1)
-        src = {c.tag: c for c in model.constraints if c.family == "srcout"}
+        src = {c.tag: c for c in model.constraints if row_family(c.tag) == "srcout"}
         con = src["srcout_d1"]
         assert con.relation == "="
         assert con.rhs == 1
@@ -83,16 +88,16 @@ class TestConstraints:
 
     def test_reach_constraint_coefficients(self, t1):
         model = trimmed(t1)
-        (reach,) = [c for c in model.constraints if c.family == "reach"]
+        (reach,) = [c for c in model.constraints if row_family(c.tag) == "reach"]
         assert reach.relation == "<="
         assert reach.rhs == 2.0  # reach 2 x width 1
         assert all(coeff == 1.0 for coeff in reach.coeffs.values())
 
     def test_contiguity_families_for_width_two(self, t4):
         model = trimmed(t4)
-        fams = {c.family for c in model.constraints}
+        fams = {row_family(c.tag) for c in model.constraints}
         assert {"ctgA", "ctgB", "ctgC"} <= fams
-        ctg_c = [c for c in model.constraints if c.family == "ctgC"]
+        ctg_c = [c for c in model.constraints if row_family(c.tag) == "ctgC"]
         # color 4 is useful but never a first color: x4 <= x3 on both directions of both links
         assert len(ctg_c) == 4
         for con in ctg_c:
@@ -101,16 +106,16 @@ class TestConstraints:
 
     def test_contiguity_skipped_for_width_one(self, t1):
         model = trimmed(t1)
-        assert not any(c.family.startswith("ctg") for c in model.constraints)
+        assert not any(row_family(c.tag).startswith("ctg") for c in model.constraints)
 
     def test_base_contiguity_only_window_and_bottom(self, t4):
         model = build_model(t4, None, "base")
-        fams = {c.family for c in model.constraints}
+        fams = {row_family(c.tag) for c in model.constraints}
         assert "ctgC" not in fams
-        ctg_b = [c for c in model.constraints if c.family == "ctgB"]
+        ctg_b = [c for c in model.constraints if row_family(c.tag) == "ctgB"]
         assert ctg_b and all(c.tag.endswith("_c1") for c in ctg_b)
         # window rows exist up to the top of the spectrum
-        assert any(c.tag.endswith("_c4") for c in model.constraints if c.family == "ctgA")
+        assert any(c.tag.endswith("_c4") for c in model.constraints if row_family(c.tag) == "ctgA")
 
     def test_no_empty_rows_except_unroutable_source(self, t1_low_reach):
         model = trimmed(t1_low_reach)
@@ -129,12 +134,13 @@ class TestModes:
         model = trimmed(t3, "maxsubset")
         # |U| = 2 undirected triples, so M = 3
         assert model.meta["big_m"] == 3
-        assert model.objective[SelectVar(1)] == -3
-        assert model.objective[FlowVar(1, 1, True, 1)] == 1
+        cost = dict(zip(model.variables, model.c.tolist()))
+        assert cost[SelectVar(1)] == -3
+        assert cost[FlowVar(1, 1, True, 1)] == 1
 
     def test_maxsubset_source_rows_reference_selector(self, t3):
         model = trimmed(t3, "maxsubset")
-        src = [c for c in model.constraints if c.family == "srcout"]
+        src = [c for c in model.constraints if row_family(c.tag) == "srcout"]
         for con in src:
             assert con.rhs == 0
             sel = [k for k in con.coeffs if isinstance(k, SelectVar)]

@@ -208,3 +208,10 @@ class TestJson:
             instance_from_dict(
                 {"slot_count": 2, "nodes": [1, 2], "links": [{"id": 1}], "demands": []}
             )
+
+    def test_demand_id_must_be_an_integer(self, t1):
+        # a string id beside an integer one used to end in a TypeError when sorted
+        data = instance_to_dict(t1)
+        data["demands"].append(dict(data["demands"][0], id="a"))
+        with pytest.raises(InputError, match="/demands/1/id: must be an integer"):
+            instance_from_dict(data)
