@@ -3,10 +3,11 @@ import hashlib
 import pytest
 
 from flexrsa.io import dumps_json, instance_to_dict, load_instance
-from flexrsa.model import Link, OpticalNetwork, paths_intersect
+from flexrsa.model import Link, OpticalNetwork, RestorationInstance, paths_intersect
 from flexrsa.testgen import (
     MODULATION_REACH_KM,
     GenerationError,
+    _Router,
     builtin_topology_path,
     generate_loaded_network,
     make_scenario,
@@ -50,6 +51,44 @@ class TestGolden:
         )
         scenario = make_scenario(loaded, broken, kind, first_break=first_break)
         text = dumps_json(instance_to_dict(scenario.instance))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "topology, modulation, digest",
+        [
+            ("ring14", "bpsk",
+             "3fa49133393943144f357668ff99714b4266163945f7d6dba706a377e46ee6b3"),
+            ("ring14", "qpsk",
+             "17fbf2945a8555ba3b1f8a3cc25da4800740e5840bd861456ceab7168a6542ef"),
+            ("ring14", "8qam",
+             "edd2124931e6875f022e9a8b8a7556cf90baf66edd843fc8fbf26f042d78293a"),
+            ("grid12", "bpsk",
+             "15948e9fbc53e822abf6fba073c9291f79e4eab6181c45e380635e6876f087b6"),
+            ("grid12", "qpsk",
+             "fc52df3cba9be3d19401971679eaacf564831d73dc33aa965b3d61d378207c99"),
+            ("grid12", "8qam",
+             "c3e06dcf8874ed3559a0b5a51686a9e86e30328c25e6893ae414bcce76724f7e"),
+        ],
+    )
+    def test_generator_digest(self, topology, modulation, digest):
+        """The loaded network and its routing log, then a first-kind break
+        of the lowest eligible link and a second-kind break of the highest
+        (first break: the lowest), each with its manifest."""
+        loaded = generate_loaded_network(
+            load_topology(topology),
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        eligible = loaded.eligible_links()
+        parts = [
+            instance_to_dict(RestorationInstance(loaded.network, ())),
+            list(loaded.log),
+        ]
+        for broken, kind in ((eligible[0], "first"), (eligible[-1], "second")):
+            scenario = make_scenario(loaded, broken, kind)
+            parts += [instance_to_dict(scenario.instance), scenario.manifest]
+        text = dumps_json(parts)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -118,6 +157,43 @@ class TestLoading:
                 for c in pd.recovery.colors():
                     if c not in main_occ.get(link_id, set()):
                         assert c in loaded.network.available[link_id]
+
+
+class TestRouter:
+    @pytest.mark.parametrize(
+        "topology, modulation", [("ring14", "qpsk"), ("grid12", "8qam")]
+    )
+    def test_recovery_avail_follows_the_reservation_rule(self, topology, modulation):
+        """A recovery for main M may use a slot iff no main occupies it and
+        no recovery of a main sharing a link with M reserves it."""
+        loaded = generate_loaded_network(
+            load_topology(topology),
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        router = _Router(loaded.topology)
+        for pd in loaded.provisioned:
+            router.occupy_main(pd.main)
+            router.reserve_recovery(pd.recovery, frozenset(pd.main.link_ids()))
+
+        def slots(path):
+            return {(l, c) for l in path.link_ids() for c in path.colors()}
+
+        mains = set().union(*(slots(pd.main) for pd in loaded.provisioned))
+        colors = range(1, loaded.topology.slot_count + 1)
+        for pd in loaded.provisioned:
+            own = frozenset(pd.main.link_ids())
+            blocked = mains.union(*(
+                slots(other.recovery)
+                for other in loaded.provisioned
+                if own & set(other.main.link_ids())
+            ))
+            expected = [
+                [(l.id, c) not in blocked for c in colors]
+                for l in loaded.topology.links
+            ]
+            assert router.recovery_avail(own).astype(bool).tolist() == expected
 
 
 class TestScenarios:
