@@ -7,6 +7,11 @@ straight from the model (`flexrsa.lp_driver`). Executable paths can be
 overridden with FLEXRSA_CBC / FLEXRSA_SCIP. Custom templates must write a
 CBC-style solution file.
 
+A solver process is killed once it runs past twice the time limit plus
+HARD_KILL_GRACE_S. Its working directory (model.lp, model.sol, solver.log)
+is removed after a successful solve unless keep_files is set; whenever the
+directory stays, `SolveOutcome.log_path` names its log.
+
 Solves are isolated per working directory, and HiGHS releases the GIL, so
 any number may run concurrently, in threads too.
 """
@@ -18,7 +23,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -280,30 +284,17 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     cmd = [arg.format(**subst) for arg in template]
 
     returncode = -1
-    killed = threading.Event()
+    killed = False
     try:
         with open(log_file, "w", encoding="utf-8") as log:
-            proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
+            returncode = subprocess.run(  # kills the solver on any exception
+                cmd, stdout=log, stderr=subprocess.STDOUT,
+                timeout=config.time_limit * 2 + HARD_KILL_GRACE_S,
+            ).returncode
+    except subprocess.TimeoutExpired:
+        killed = True
     except OSError:
         pass
-    else:
-        # A blocking wait sees the exit at once, where a wait with a timeout
-        # polls in sleeps of up to 50 ms; the timer enforces the hard limit.
-        def kill():
-            killed.set()
-            proc.kill()
-
-        timer = threading.Timer(config.time_limit * 2 + HARD_KILL_GRACE_S, kill)
-        timer.daemon = True
-        timer.start()
-        try:
-            returncode = proc.wait()
-        except BaseException:  # as subprocess.run: leave no solver running
-            proc.kill()
-            proc.wait()
-            raise
-        finally:
-            timer.cancel()
 
     def finish(status, assignment=None, objective=None, message="") -> SolveOutcome:
         wall = time.perf_counter() - start
@@ -316,7 +307,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
             outcome.log_path = log_file
         return outcome
 
-    if killed.is_set():
+    if killed:
         return finish(
             TIMELIMIT, message="solver killed after exceeding twice the time limit"
         )
@@ -329,6 +320,11 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
         text = fh.read()
     parser = parse_scip_solution if solver_name == "scip" else parse_cbc_solution
     status, objective, values = parser(text)
+    if status == ERROR:
+        head = text.strip().split("\n", 1)[0]
+        return finish(
+            ERROR, message=f"solution file has no result; first line: {head!r}"
+        )
     if values is not None:
         values = [values.get(var_name(key), 0.0) for key in model.variables]
     return finish(*_rounded(model, status, objective, values))

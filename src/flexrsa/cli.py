@@ -7,9 +7,10 @@ and passed `verify_solution`.
 Exit codes for `solve`/`oracle`: 0 feasible, 10 infeasible, 20 time limit,
 1 error, including an optimal or feasible `solve` answer that is not
 certified (its solution JSON is still written, with `meta.verified: false`
-and, when extraction failed, `meta.extraction_error`). `validate` exits 0
-only on a clean report. Every artifact embeds seed, variant, solver
-identity and tool version.
+and, when extraction failed, `meta.extraction_error`). A solve that keeps
+its solver log (a failed external solve, or `--keep-files`) names it in
+`meta.solver_log`. `validate` exits 0 only on a clean report. Every
+artifact embeds seed, variant, solver identity and tool version.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def answer(
         meta["timings"]["highs_seconds"] = round(outcome.highs_seconds, 6)
     if outcome.message:
         meta["solver_message"] = outcome.message
+    if outcome.log_path:
+        meta["solver_log"] = outcome.log_path
 
     result = None
     report = None

@@ -78,14 +78,19 @@ def _require_int(obj: dict, key: str, where: str) -> int:
 def instance_from_dict(data: dict) -> RestorationInstance:
     if not isinstance(data, dict):
         raise InputError("/: instance document must be a JSON object")
-    slot_count = _require(data, "slot_count", "/")
+    slot_count = _integer(_require(data, "slot_count", "/"), "/slot_count")
     nodes = _require(data, "nodes", "/")
     if not isinstance(nodes, list) or not nodes:
         raise InputError("/nodes: must be a non-empty list")
+    raw_links = _require(data, "links", "/")
+    raw_demands = data.get("demands", [])
+    for key, value in (("links", raw_links), ("demands", raw_demands)):
+        if not isinstance(value, list):
+            raise InputError(f"/{key}: must be a list")
 
     links = []
     available = {}
-    for i, raw in enumerate(_require(data, "links", "/")):
+    for i, raw in enumerate(raw_links):
         where = f"/links/{i}"
         if not isinstance(raw, dict):
             raise InputError(f"{where}: must be an object")
@@ -106,7 +111,7 @@ def instance_from_dict(data: dict) -> RestorationInstance:
         )
 
     demands = []
-    for i, raw in enumerate(data.get("demands", [])):
+    for i, raw in enumerate(raw_demands):
         where = f"/demands/{i}"
         if not isinstance(raw, dict):
             raise InputError(f"{where}: must be an object")

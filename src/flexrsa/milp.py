@@ -3,10 +3,12 @@
 Three variants over binary flow variables x[demand, directed link, color]:
 
 * ``base``    - a variable for every color in {1..C}; variables on occupied
-  colors are fixed to 0; contiguity uses the window family for c >= 2 plus the
-  activation family only at the bottom of the spectrum.
+  colors (``~OpticalNetwork.free``) are fixed to 0; contiguity uses the
+  window family for c >= 2 plus the activation family only at the bottom of
+  the spectrum.
 * ``notrim``  - variables only for free colors (c in C_l), full constraints,
-  first-color candidates derived from C_l alone (`trimming.free_windows`).
+  first-color candidates derived from C_l alone (`trimming.free_windows` over
+  ``OpticalNetwork.free``).
 * ``trimmed`` - variables only for useful triples from the trimming pass,
   full constraints, first-color candidates from trimming.
 
@@ -20,21 +22,23 @@ row bounds, and a name per row. Columns come out in demand, link, direction
 (forward first), color order, then the selectors; rows family by family, each
 family in sorted demand/link/color order. `Rows` is the one way from rows to a
 CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it
-too. The flow rows walk the network's own index form (`OpticalNetwork.adj` /
-`ends`). The per-row dict view (`MilpModel.constraints`) is derived from the
-arrays only when something reads it.
+too. The builder reads the network's own index form: the flow rows walk
+`OpticalNetwork.adj` / `ends`, and the notrim windows and the base variant's
+fixed columns come from `OpticalNetwork.free`. The per-row dict view
+(`MilpModel.constraints`) is derived from the arrays only when something
+reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .model import InputError, RestorationInstance
-from .trimming import UsefulTripleSet, availability, free_windows
+from .trimming import UsefulTripleSet, free_windows
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -146,7 +150,6 @@ class MilpModel:
     lower: np.ndarray
     upper: np.ndarray
     row_names: tuple
-    meta: dict = field(default_factory=dict)
 
     @cached_property
     def constraints(self) -> tuple:
@@ -217,10 +220,9 @@ def _variant_colors(instance, triples, variant):
         for d, l, c in triples.useful:
             useful.setdefault((d, l), []).append(c)
     elif variant == "notrim":
-        avail = availability(net)
         by_width: dict = {}  # width -> per link position, its free windows' first colors
         for w in {d.width for d in instance.demands}:
-            windows = free_windows(avail, w)
+            windows = free_windows(net.free, w)
             by_width[w] = [
                 frozenset(c for c, active in enumerate(windows, start=1) if active[e])
                 for e in range(len(net.links))
@@ -296,18 +298,15 @@ def build_model(
     fixed: list = []
     for d in demands:
         per_link = []
-        for l in links:
+        for li, l in enumerate(links):
             colors = cols[(d.id, l.id)]
             start = len(variables)
             per_link.append((start, colors))
             for fwd in (True, False):
                 variables.extend(FlowVar(d.id, l.id, fwd, c) for c in colors)
-            if variant == "base":
-                free = net.available[l.id]
-                n = len(colors)
-                for k, c in enumerate(colors):
-                    if c not in free:
-                        fixed += (start + k, start + n + k)
+            if variant == "base":  # colors 1..C: column k is color k + 1
+                for k in np.flatnonzero(~net.free[li]).tolist():
+                    fixed += (start + k, start + slots + k)
         blocks.append(per_link)
     n_flow = len(variables)
     if mode == "maxsubset":
@@ -413,8 +412,7 @@ def build_model(
                         )
 
     n = len(variables)
-    undirected_triples = sum(len(cs) for cs in cols.values())
-    big_m = undirected_triples + 1
+    big_m = sum(len(cs) for cs in cols.values()) + 1  # exceeds any flow's cost
     c_vec = np.zeros(n)
     c_vec[:n_flow] = 1
     c_vec[n_flow:] = -big_m
@@ -422,11 +420,6 @@ def build_model(
     ub[fixed] = 0.0
     a, lower, upper = rows.matrix(n)
 
-    meta = {
-        "undirected_triples": undirected_triples,
-        "big_m": big_m if mode == "maxsubset" else None,
-        "demands": [d.id for d in demands],
-    }
     return MilpModel(
         variant=variant,
         mode=mode,
@@ -437,5 +430,4 @@ def build_model(
         lower=lower,
         upper=upper,
         row_names=tuple(rows.names),
-        meta=meta,
     )

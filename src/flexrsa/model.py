@@ -5,8 +5,9 @@ threads. Colors (spectrum slots) are 1-based integers in {1..C}; links are
 undirected and may be parallel (the integer id disambiguates). Direction is
 introduced only inside the MILP builder.
 
-`OpticalNetwork` builds the one index form of its graph at construction
-(node positions, link ends, adjacency by position) that trimming, the MILP
+`OpticalNetwork` builds the one index form of its graph and spectrum at
+construction (node and link positions, link ends, adjacency by position, and
+the read-only link x color matrix of free slots) that trimming, the MILP
 builder and the generator's router read. `path_violations` is the one rule
 for whether a routed path serves a demand; `is_valid_path` and the verifier
 both apply it.
@@ -14,8 +15,11 @@ both apply it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
+
+import numpy as np
 
 NodeId = Union[str, int]
 
@@ -32,7 +36,7 @@ class Link:
         id: Unique integer id within a network (parallel links get distinct ids).
         u, v: Endpoint nodes. The (u, v) order is kept as given; it only matters
             for naming the two directed copies used by the MILP builder.
-        length: Non-negative length in kilometers.
+        length: Finite, non-negative length in kilometers.
     """
 
     id: int
@@ -95,7 +99,10 @@ class OpticalNetwork:
         nodes: Node ids, in construction order.
         links: Links sorted by id.
         available: Mapping link id -> frozenset of free colors (subset of {1..C}).
+        free: Read-only (links x colors) bool array: [e, c - 1] iff color c
+            is free on links[e]; `available` as a matrix.
         node_index: Node id -> its position in `nodes`.
+        link_index: Link id -> its position in `links`.
         ends: Per link position (index into `links`): the positions of its
             u and v.
         adj: Per node position: the (link position, other node position)
@@ -103,8 +110,8 @@ class OpticalNetwork:
     """
 
     __slots__ = (
-        "slot_count", "nodes", "links", "available", "_by_id",
-        "node_index", "ends", "adj",
+        "slot_count", "nodes", "links", "available", "free",
+        "node_index", "link_index", "ends", "adj",
     )
 
     def __init__(
@@ -134,14 +141,18 @@ class OpticalNetwork:
                 raise InputError(f"link {link.id} is a self-loop at {link.u!r}")
             if link.u not in node_set or link.v not in node_set:
                 raise InputError(f"link {link.id} endpoint not among the nodes")
-            if link.length < 0:
-                raise InputError(f"link {link.id} has negative length {link.length}")
+            if not 0 <= link.length < math.inf:
+                raise InputError(
+                    f"link {link.id} has length {link.length}; "
+                    "it must be finite and non-negative"
+                )
             by_id[link.id] = link
         self.links = tuple(sorted(by_id.values(), key=lambda l: l.id))
-        self._by_id = by_id
+        self.link_index = {l.id: e for e, l in enumerate(self.links)}
 
         avail: dict[int, frozenset[int]] = {}
-        for link in self.links:
+        free = np.zeros((len(self.links), slot_count), dtype=bool)
+        for e, link in enumerate(self.links):
             colors = frozenset(available.get(link.id, ()))
             for c in colors:
                 if not isinstance(c, int) or not 1 <= c <= slot_count:
@@ -149,7 +160,10 @@ class OpticalNetwork:
                         f"link {link.id}: color {c!r} outside 1..{slot_count}"
                     )
             avail[link.id] = colors
+            free[e, [c - 1 for c in colors]] = True
+        free.flags.writeable = False
         self.available = avail
+        self.free = free
 
         self.node_index = {n: i for i, n in enumerate(self.nodes)}
         self.ends = tuple(
@@ -163,7 +177,7 @@ class OpticalNetwork:
 
     def link(self, link_id: int) -> Link:
         try:
-            return self._by_id[link_id]
+            return self.links[self.link_index[link_id]]
         except KeyError:
             raise InputError(f"unknown link id {link_id}") from None
 

@@ -6,8 +6,16 @@ pair, try to route a valid main path plus a link-disjoint valid recovery path
 reserved by any recovery. Recovery paths of main paths that share a link must
 not intersect each other (no common slot on a common link); recoveries of
 link-disjoint mains may even reuse each other's slots - that reuse is the
-shared part of shared path protection. A width phase ends when a full pass
-routes nothing. Afterwards all recovery reservations are dropped.
+shared part of shared path protection. Each width phase makes one shuffled
+pass, and the last repeats until a pass routes nothing. Afterwards all
+recovery reservations are dropped.
+
+The router keeps this state as two bool arrays in the layout of the
+topology's `OpticalNetwork.free`: `free`, the slots no main uses, and
+`held` (links x links x colors), where held[m] marks the slots reserved by
+recoveries of mains that use links[m]. The reservation rules above are then
+masks: a main may use free & ~held.any(axis=0), a recovery for main M may
+use free & ~held[rows of M].any(axis=0).
 
 First-kind scenarios break one eligible link (eligible: it carries a main of
 width > 1); the freed broken demands are always jointly restorable, the
@@ -93,53 +101,46 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 class _Router:
-    """First-fit shortest-valid routing over a mutable occupation state."""
+    """First-fit shortest-valid routing over a mutable occupation state:
+    `free` and `held`, as in the module docstring."""
 
     def __init__(self, topology: OpticalNetwork):
         self.node_index = topology.node_index
+        self.link_index = topology.link_index
         self.links = topology.links
-        self.edge_index = {l.id: e for e, l in enumerate(self.links)}
         self.adj = topology.adj
         self.lengths = [l.length for l in self.links]
+        self.free = topology.free.copy()
         m = len(self.links)
-        c = topology.slot_count
-        # free means: not occupied by a main; strict additionally excludes
-        # recovery reservations
-        self.free_main = np.ones((m, c), dtype=np.uint8)
-        self.free_strict = np.ones((m, c), dtype=np.uint8)
-        # per reserved slot: the main link sets whose recoveries hold it
-        self.reservation_owners: dict = {}
+        self.held = np.zeros((m, m, topology.slot_count), dtype=bool)
 
     def occupy_main(self, path: RoutedPath) -> None:
+        lo = path.first_color - 1
         for link in path.links:
-            e = self.edge_index[link.id]
-            for c in path.colors():
-                self.free_main[e, c - 1] = 0
-                self.free_strict[e, c - 1] = 0
+            self.free[self.link_index[link.id], lo:lo + path.width] = False
 
     def reserve_recovery(self, path: RoutedPath, main_links: frozenset) -> None:
+        rows = [self.link_index[i] for i in main_links]
+        lo = path.first_color - 1
         for link in path.links:
-            e = self.edge_index[link.id]
-            for c in path.colors():
-                self.free_strict[e, c - 1] = 0
-                self.reservation_owners.setdefault((e, c - 1), []).append(main_links)
+            self.held[rows, self.link_index[link.id], lo:lo + path.width] = True
+
+    def main_avail(self) -> np.ndarray:
+        """Slots a main may use: free of mains and of every reservation."""
+        return self.free & ~self.held.any(axis=0)
 
     def recovery_avail(self, main_links: frozenset) -> np.ndarray:
         """Slots a recovery for this main may use: free of mains, and reserved
         only by recoveries whose mains are link-disjoint from this one."""
-        avail = self.free_main.copy()
-        for (e, cidx), owners in self.reservation_owners.items():
-            if avail[e, cidx] and any(owner & main_links for owner in owners):
-                avail[e, cidx] = 0
-        return avail
+        rows = [self.link_index[i] for i in main_links]
+        return self.free & ~self.held[rows].any(axis=0)
 
     def first_fit(self, s, t, width, reach, avail, banned_links=frozenset()):
         """Lowest first color admitting a reach-valid route, plus the shortest
         such route in that color range."""
         if banned_links:
             avail = avail.copy()
-            for link_id in banned_links:
-                avail[self.edge_index[link_id], :] = 0
+            avail[[self.link_index[i] for i in banned_links]] = False
         root, target = self.node_index[s], self.node_index[t]
         for c, active in enumerate(free_windows(avail, width), start=1):
             dist, pred = dijkstra(self.adj, self.lengths, active, root)
@@ -155,24 +156,17 @@ class _Router:
         return None
 
 
-def _restrict_network(topology: OpticalNetwork, occupied: dict, drop_links=frozenset()):
-    """Copy of the topology minus dropped links, minus occupied slots."""
+def _restrict_network(topology: OpticalNetwork, paths, drop_links=frozenset()):
+    """Copy of the topology minus dropped links, minus the paths' slots."""
+    router = _Router(topology)
+    for path in paths:
+        router.occupy_main(path)
     links = [l for l in topology.links if l.id not in drop_links]
     available = {
-        l.id: sorted(
-            set(topology.available[l.id]) - occupied.get(l.id, set())
-        )
+        l.id: (np.flatnonzero(router.free[router.link_index[l.id]]) + 1).tolist()
         for l in links
     }
     return OpticalNetwork(topology.nodes, links, available, topology.slot_count)
-
-
-def _occupation(paths) -> dict:
-    occ: dict = {}
-    for path in paths:
-        for link_id in path.link_ids():
-            occ.setdefault(link_id, set()).update(path.colors())
-    return occ
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +181,8 @@ def generate_loaded_network(
     modulation: Optional[str] = None,
 ) -> LoadedNetwork:
     """Load a pristine topology with shared-path-protected demands."""
-    for link in topology.links:
-        if len(topology.available[link.id]) != topology.slot_count:
+    for link, row in zip(topology.links, topology.free):
+        if not row.all():
             raise GenerationError(
                 f"topology link {link.id} is not fully available; loading "
                 "expects a pristine network"
@@ -209,7 +203,7 @@ def generate_loaded_network(
 
     def attempt(s, t, width) -> bool:
         nonlocal next_id
-        main = router.first_fit(s, t, width, reach_km, router.free_strict)
+        main = router.first_fit(s, t, width, reach_km, router.main_avail())
         if main is None:
             return False
         main_links = frozenset(main.link_ids())
@@ -248,9 +242,7 @@ def generate_loaded_network(
             if phase < last or not progress:
                 break
 
-    network = _restrict_network(
-        topology, _occupation(pd.main for pd in provisioned)
-    )
+    network = _restrict_network(topology, (pd.main for pd in provisioned))
     loaded = LoadedNetwork(
         topology=topology,
         network=network,
@@ -335,7 +327,7 @@ def make_scenario(
         broken, surviving = _split_by_break(loaded.provisioned, broken_link)
         network = _restrict_network(
             loaded.topology,
-            _occupation(pd.main for pd in surviving),
+            (pd.main for pd in surviving),
             drop_links={broken_link},
         )
         instance = RestorationInstance(
@@ -370,15 +362,14 @@ def make_scenario(
     # recorded recovery paths if the greedy pass gets stuck
     replacement_policy = "first_fit"
     post_break = _Router(loaded.topology)
-    post_break.free_main[post_break.edge_index[first_break], :] = 0
-    post_break.free_strict[post_break.edge_index[first_break], :] = 0
+    post_break.free[post_break.link_index[first_break]] = False
     for path in routed.values():
         post_break.occupy_main(path)
     replacements: dict = {}
     for pd in sorted(broken, key=lambda p: p.demand.id):
         path = post_break.first_fit(
             pd.demand.s, pd.demand.t, pd.demand.width, pd.demand.reach,
-            post_break.free_strict,
+            post_break.free,
         )
         if path is None:
             replacement_policy = "recorded_recovery"
@@ -410,7 +401,7 @@ def make_scenario(
     ]
     network = _restrict_network(
         loaded.topology,
-        _occupation(surviving_paths),
+        surviving_paths,
         drop_links={first_break, broken_link},
     )
     instance = RestorationInstance(

@@ -8,11 +8,11 @@ range graph leaves t_d out of reach are non re-routable, which alone proves
 the instance infeasible.
 
 The scan reads the network's index form (`OpticalNetwork.adj`, `ends`,
-`node_index`) and builds no graph of its own. The module's Dijkstra is the
-package's only shortest-path search; the loader's first-fit router
-(:mod:`flexrsa.testgen`) uses it too, and `free_windows` is the one rule for
-which links can carry a color window (the MILP builder's notrim first colors
-come from it as well).
+`node_index`, and the free-slot matrix `free`) and builds no graph or
+spectrum matrix of its own. The module's Dijkstra is the package's only
+shortest-path search; the loader's first-fit router (:mod:`flexrsa.testgen`)
+uses it too, and `free_windows` is the one rule for which links can carry a
+color window (the MILP builder's notrim first colors come from it as well).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import OpticalNetwork, RestorationInstance
+from .model import RestorationInstance
 
 INF = float("inf")
 
@@ -83,21 +83,13 @@ def dijkstra(adj, lengths: list, active: list, root: int):
 
 
 def free_windows(avail: np.ndarray, width: int) -> list:
-    """For an (edges x colors) availability matrix: list indexed by first
-    color - 1 of per-edge flags, True iff the edge has all `width` colors
-    from that first color on free."""
+    """For an (edges x colors) free-slot matrix such as `OpticalNetwork.free`:
+    list indexed by first color - 1 of per-edge flags, True iff the edge has
+    all `width` colors from that first color on free."""
     if width > avail.shape[1]:
         return []
     windows = np.lib.stride_tricks.sliding_window_view(avail, width, axis=1)
     return windows.all(axis=2).T.tolist()
-
-
-def availability(network: OpticalNetwork) -> np.ndarray:
-    """(edges x colors) bool matrix: [e, c - 1] iff color c is free on links[e]."""
-    avail = np.zeros((len(network.links), network.slot_count), dtype=bool)
-    for e, link in enumerate(network.links):
-        avail[e, [c - 1 for c in network.available[link.id]]] = True
-    return avail
 
 
 def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
@@ -105,7 +97,6 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     net = instance.network
     adj, ends, node_index = net.adj, net.ends, net.node_index
     lengths = [l.length for l in net.links]
-    avail = availability(net)
 
     useful = set()
     first_colors: dict = {}
@@ -116,7 +107,7 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
         s, t, reach = node_index[demand.s], node_index[demand.t], demand.reach
         valid = []
         marks: list = [[] for _ in ends]  # edge -> first colors it lies on
-        for c, active in enumerate(free_windows(avail, demand.width), start=1):
+        for c, active in enumerate(free_windows(net.free, demand.width), start=1):
             dist_s, _ = dijkstra(adj, lengths, active, s)
             if dist_s[t] > reach:
                 continue
@@ -151,7 +142,7 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
 def triples_to_dict(triples: UsefulTripleSet, instance: RestorationInstance) -> dict:
     """JSON form emitted by the `trim` CLI subcommand."""
     net = instance.network
-    total = sum(len(net.available[l.id]) for l in net.links) * len(instance.demands)
+    total = int(net.free.sum()) * len(instance.demands)
     return {
         "useful": [list(t) for t in sorted(triples.useful)],
         "first_colors": {

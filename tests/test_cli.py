@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import flexrsa
 from flexrsa.cli import main
 from flexrsa.extract import ExtractionError, extract_paths
-from flexrsa.io import save_instance
+from flexrsa.io import instance_to_dict, save_instance
 from flexrsa.model import Demand, RestorationInstance
 from tests_support import canned_solver
 
@@ -107,6 +108,34 @@ class TestSolve:
         timings = read_json(out)["meta"]["timings"]
         assert "solve_seconds" in timings
         assert "highs_seconds" not in timings
+
+    def test_failed_external_solve_says_why_and_names_its_log(
+        self, t1_file, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        solver = canned_solver(tmp_path, "segfault haiku\n")
+        out = tmp_path / "sol.json"
+        assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 1
+        doc = read_json(out)
+        assert doc["status"] == "error"
+        assert doc["meta"]["solver_message"] == (
+            "solution file has no result; first line: 'segfault haiku'"
+        )
+        workdir, log = os.path.split(doc["meta"]["solver_log"])
+        assert log == "solver.log"
+        assert os.path.dirname(workdir) == str(tmp_path)
+        assert sorted(os.listdir(workdir)) == ["model.lp", "model.sol", "solver.log"]
+
+    def test_solver_log_only_when_kept(self, t1_file, tmp_path):
+        out = tmp_path / "sol.json"
+        assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 0
+        assert "solver_log" not in read_json(out)["meta"]
+        work = tmp_path / "work"
+        assert main(
+            ["solve", t1_file, "--solver", "builtin", "--keep-files",
+             "--workdir", str(work), "-o", str(out)]
+        ) == 0
+        assert read_json(out)["meta"]["solver_log"] == str(work / "solver.log")
 
     def test_stdout_holds_one_json_document(self, t1_file, capfd):
         # fd level: HiGHS would print from C, past sys.stdout
@@ -493,6 +522,36 @@ class TestVersionAndErrors:
     def test_time_limit_must_be_positive(self, t1_file, capsys, limit):
         assert main(["solve", t1_file, "--time-limit", limit]) == 1
         assert capsys.readouterr().err.startswith("error: time limit must be positive")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"links": 5}, "/links: must be a list"),
+            ({"demands": 7}, "/demands: must be a list"),
+            ({"demands": None}, "/demands: must be a list"),
+            ({"slot_count": True}, "/slot_count: must be an integer"),
+        ],
+    )
+    def test_loader_refuses_malformed_document(
+        self, t1, tmp_path, capsys, change, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(instance_to_dict(t1), **change)))
+        assert main(["solve", str(path), "--solver", "builtin"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
+    def test_loader_refuses_length_not_finite_and_non_negative(
+        self, t1, tmp_path, capsys, length
+    ):
+        doc = instance_to_dict(t1)
+        doc["links"][2]["length_km"] = length
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--solver", "builtin"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: link 3 has length {length}; it must be finite and non-negative\n"
+        )
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_instances
 from flexrsa.io import colors_to_runs, instance_from_dict, instance_to_dict, normalize_colors
 from flexrsa.model import (
     Demand,
@@ -14,7 +17,8 @@ from flexrsa.model import (
     paths_intersect,
     walk_node_sequence,
 )
-from flexrsa.trimming import availability, free_windows
+from flexrsa.testgen import builtin_topology_path
+from flexrsa.trimming import free_windows
 
 
 def links_of(instance, *ids):
@@ -23,7 +27,7 @@ def links_of(instance, *ids):
 
 def range_links(network, c, w):
     """Ids of the links carrying the whole color range {c .. c+w-1}."""
-    window = free_windows(availability(network), w)[c - 1]
+    window = free_windows(network.free, w)[c - 1]
     return {link.id for link, free in zip(network.links, window) if free}
 
 
@@ -36,6 +40,32 @@ class TestGraphIndex:
         assert net.node_index == {"a": 0, "b": 1, "c": 2}
         assert net.ends == ((0, 1), (1, 2), (2, 1))
         assert net.adj == (((0, 1),), ((0, 0), (1, 2), (2, 2)), ((1, 1), (2, 1)))
+
+
+def spectrum_networks():
+    nets = [inst.network for _, inst in corpus_instances()]
+    for name in ("ring14", "grid12"):
+        with open(builtin_topology_path(name), encoding="utf-8") as fh:
+            nets.append(instance_from_dict(json.load(fh)).network)
+    return nets
+
+
+class TestSpectrumIndex:
+    def test_free_matrix_and_link_index_match_available(self):
+        for net in spectrum_networks():
+            assert net.free.shape == (len(net.links), net.slot_count)
+            for e, link in enumerate(net.links):
+                assert net.link_index[link.id] == e
+                assert net.link(link.id) is link
+                row = net.free[e].tolist()
+                for c in range(1, net.slot_count + 1):
+                    assert row[c - 1] == (c in net.available[link.id])
+
+    def test_free_matrix_is_read_only(self, t2):
+        with pytest.raises(ValueError):
+            t2.network.free[0, 0] = False
+        with pytest.raises(ValueError):
+            t2.network.free[:] = True
 
 
 class TestColorGraph:
@@ -60,13 +90,13 @@ class TestRangeGraph:
         assert range_links(t2.network, 1, 2) == {1}
 
     def test_width_one_equals_single_color(self, t2):
-        avail = availability(t2.network)
+        avail = t2.network.free
         assert free_windows(avail, 1) == avail.T.tolist()
 
     def test_range_exceeding_spectrum(self, t2):
         # C = 3: width-2 ranges start at colors 1 and 2 only
-        assert len(free_windows(availability(t2.network), 2)) == 2
-        assert free_windows(availability(t2.network), 4) == []
+        assert len(free_windows(t2.network.free, 2)) == 2
+        assert free_windows(t2.network.free, 4) == []
 
     def test_contained_in_every_single_color(self, t2, t4):
         for inst in (t2, t4):

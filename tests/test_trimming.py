@@ -6,7 +6,6 @@ from flexrsa.oracle import (
 )
 from flexrsa.trimming import (
     INF,
-    availability,
     compute_useful_triples,
     dijkstra,
     free_windows,
@@ -23,7 +22,7 @@ def assert_triples_equal(a, b):
 
 def color_one_dijkstra(net, root):
     """Dijkstra from node `root` over the links on which color 1 is free."""
-    active = free_windows(availability(net), 1)[0]
+    active = free_windows(net.free, 1)[0]
     lengths = [l.length for l in net.links]
     return dijkstra(net.adj, lengths, active, net.node_index[root])
 
