@@ -86,6 +86,7 @@ class SolveOutcome:
     log_path: Optional[str] = None
     message: str = ""
     highs_seconds: Optional[float] = None  # inside scipy.optimize.milp; builtin only
+    solver_stats: Optional[dict] = None  # HiGHS's node count, gap, dual bound; builtin only
 
 
 def _which(name: str, env_var: str) -> Optional[str]:
@@ -350,6 +351,7 @@ def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> Solv
     outcome = SolveOutcome(
         status, assignment, objective, time.perf_counter() - start, BUILTIN,
         message=message or result.message, highs_seconds=result.seconds,
+        solver_stats=result.stats,
     )
     if workdir is not None:
         outcome.log_path = os.path.join(workdir, "solver.log")

@@ -33,7 +33,7 @@ from .backend import (
 )
 from .extract import ExtractionError, extract_paths, solution_to_dict, verify_solution
 from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution_paths
-from .milp import build_model, model_statistics
+from .milp import SelectVar, build_model, model_statistics
 from .model import InputError, RestorationInstance
 from .oracle import OracleGuard, OracleGuardError, oracle_solve
 from .testgen import (
@@ -103,7 +103,9 @@ def answer(
     """The solution document of one instance, for both `solve` and `bench`.
 
     A non-re-routable demand proves infeasibility in feasibility mode and is
-    excluded in maxsubset mode. `status` is the solver's; `meta.verified` is
+    excluded in maxsubset mode. `objective` is the slot count in feasibility
+    mode and the number of restored demands in maxsubset mode, as in
+    `oracle`. `status` is the solver's; `meta.verified` is
     true iff the paths were extracted and passed `verify_solution`. The
     layers are called through this module's globals, so a caller can wrap
     them.
@@ -147,11 +149,20 @@ def answer(
     meta["timings"]["solve_seconds"] = round(outcome.wall_seconds, 6)
     if outcome.highs_seconds is not None:
         meta["timings"]["highs_seconds"] = round(outcome.highs_seconds, 6)
+    if outcome.solver_stats is not None:
+        meta["solver_stats"] = outcome.solver_stats
     if outcome.message:
         meta["solver_message"] = outcome.message
     if outcome.log_path:
         meta["solver_log"] = outcome.log_path
 
+    objective = outcome.objective
+    if mode == "maxsubset":  # the restored count, as `oracle` reports it, not the big-M cost
+        objective = None
+        if outcome.assignment is not None:
+            objective = sum(
+                v for k, v in outcome.assignment.items() if isinstance(k, SelectVar)
+            )
     result = None
     report = None
     if outcome.assignment is not None:
@@ -162,7 +173,7 @@ def answer(
         else:
             report = verify_solution(result.paths, instance)
         meta["verified"] = report is not None and report.ok
-    return solution_to_dict(outcome.status, outcome.objective, result, report, meta)
+    return solution_to_dict(outcome.status, objective, result, report, meta)
 
 
 def reported_status(doc: dict) -> str:

@@ -11,6 +11,7 @@ reduced cost), so an emitted LP can be solved and checked without the model.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import NamedTuple, Optional
 
@@ -31,6 +32,11 @@ class HighsOutcome(NamedTuple):
     message: str  # why it failed; empty unless the status is error
     summary: str  # status, message, gap, bound, nodes and wall time, one a line
     seconds: float  # wall time inside scipy.optimize.milp
+    stats: dict  # STATS names -> HiGHS's value; None where it gave none
+
+
+# what HiGHS reports on its branch and bound, by scipy.optimize.milp's names
+STATS = ("mip_node_count", "mip_gap", "mip_dual_bound")
 
 
 def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
@@ -52,20 +58,24 @@ def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
         message = f"{type(exc).__name__}: {exc}"
         summary = f"status: {ERROR}\nmessage: {message}\n"
         seconds = time.perf_counter() - start
-        return HighsOutcome(ERROR, None, None, message, summary, seconds)
+        return HighsOutcome(ERROR, None, None, message, summary, seconds, dict.fromkeys(STATS))
     seconds = time.perf_counter() - start
 
     status = _STATUS.get(res.status, ERROR)
+    stats = {}
+    for name in STATS:  # a non-finite gap or bound (no incumbent yet) is none
+        value = res.get(name)
+        stats[name] = value if value is None or math.isfinite(value) else None
     summary = (
         f"status: {status} (scipy status {res.status})\nmessage: {res.message}\n"
-        f"mip_gap: {res.get('mip_gap')}\nmip_dual_bound: {res.get('mip_dual_bound')}\n"
-        f"mip_node_count: {res.get('mip_node_count')}\nwall_seconds: {seconds:.6f}\n"
+        + "".join(f"{name}: {value}\n" for name, value in stats.items())
+        + f"wall_seconds: {seconds:.6f}\n"
     )
     if status == ERROR:
-        return HighsOutcome(ERROR, None, None, res.message, summary, seconds)
+        return HighsOutcome(ERROR, None, None, res.message, summary, seconds, stats)
     if status == INFEASIBLE or res.x is None:
-        return HighsOutcome(status, None, None, "", summary, seconds)
-    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary, seconds)
+        return HighsOutcome(status, None, None, "", summary, seconds, stats)
+    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary, seconds, stats)
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:

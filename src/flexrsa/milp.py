@@ -9,8 +9,14 @@ Three variants over binary flow variables x[demand, directed link, color]:
 * ``notrim``  - variables only for free colors (c in C_l), full constraints,
   first-color candidates derived from C_l alone (`trimming.free_windows` over
   ``OpticalNetwork.free``).
-* ``trimmed`` - variables only for useful triples from the trimming pass,
-  full constraints, first-color candidates from trimming.
+* ``trimmed`` - per arc (one direction of a link), variables only for the
+  colors in the windows of its first colors from trimming
+  (`UsefulTripleSet.arc_first_colors`), and contiguity rows over those first
+  colors; full constraints over the columns that exist, a missing column
+  counting as zero. Trimming keeps an arc at a first color whenever some
+  simple s-t path within reach in that color's range graph traverses it, and
+  a certified answer routes each demand on one simple path, so status and
+  optimum are those of ``notrim``.
 
 Modes: ``feasibility`` routes every demand (source out-flow = width);
 ``maxsubset`` adds selector variables y[d] and maximizes how many demands are
@@ -19,7 +25,8 @@ routed by rewarding each selected demand more than any flow could cost.
 The builder is a pure function that writes the solver matrix directly: the
 column keys, an objective vector, column upper bounds, one CSR row matrix with
 row bounds, and a name per row. Columns come out in demand, link, direction
-(forward first), color order, then the selectors; rows family by family, each
+(forward first), color order, then the selectors; in ``base`` and ``notrim``
+both directions of a link have the same colors. Rows come family by family, each
 family in sorted demand/link/color order. `Rows` is the one way from rows to a
 CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it
 too. The builder reads the network's own index form: the flow rows walk
@@ -210,16 +217,13 @@ def model_statistics(model: MilpModel) -> ModelStatistics:
     )
 
 
-def _variant_colors(instance, triples, variant):
-    """Per (demand id, link id): (variable colors ascending, first-color candidates)."""
+def _variant_arcs(instance, triples, variant):
+    """Per (demand id, link id): for its forward and then its backward arc,
+    (variable colors ascending, first-color candidates)."""
     net = instance.network
     all_colors = list(range(1, net.slot_count + 1))
     all_set = frozenset(all_colors)
-    useful: dict = {}
-    if variant == "trimmed":
-        for d, l, c in triples.useful:
-            useful.setdefault((d, l), []).append(c)
-    elif variant == "notrim":
+    if variant == "notrim":
         by_width: dict = {}  # width -> per link position, its free windows' first colors
         for w in {d.width for d in instance.demands}:
             windows = free_windows(net.free, w)
@@ -227,39 +231,42 @@ def _variant_colors(instance, triples, variant):
                 frozenset(c for c, active in enumerate(windows, start=1) if active[e])
                 for e in range(len(net.links))
             ]
-    cols: dict = {}
-    first: dict = {}
+    arcs: dict = {}
     for d in instance.demands:
         for e, l in enumerate(net.links):
-            key = (d.id, l.id)
-            if variant == "base":
-                cols[key] = all_colors
-                first[key] = all_set
-            elif variant == "notrim":
-                cols[key] = sorted(net.available[l.id])
-                first[key] = by_width[d.width][e]
-            else:  # trimmed
-                cols[key] = sorted(useful.get(key, ()))
-                first[key] = triples.first_colors_of(d.id, l.id)
-    return cols, first
+            if variant == "trimmed":  # each arc the windows of its first colors
+                pair = []
+                for forward in (True, False):
+                    firsts = triples.arc_first_colors.get((d.id, l.id, forward), frozenset())
+                    colors = {cc for c in firsts for cc in range(c, c + d.width)}
+                    pair.append((sorted(colors), firsts))
+                arcs[(d.id, l.id)] = tuple(pair)
+            else:
+                both = (
+                    (all_colors, all_set) if variant == "base"
+                    else (sorted(net.available[l.id]), by_width[d.width][e])
+                )
+                arcs[(d.id, l.id)] = (both, both)
+    return arcs
 
 
 def _out_in(net, node: int, on: dict):
     """(outgoing, incoming) columns at a node position, for one demand and
-    color. on: link position -> (forward column, backward column) of the
-    links carrying the color; forward runs from the link's u to its v.
+    color. on: link position -> [forward column, backward column] of the
+    links carrying the color, None for an arc without one; forward runs from
+    the link's u to its v.
     """
     out, inn = [], []
     for li, _ in net.adj[node]:
         pair = on.get(li)
         if pair is not None:
             fwd, bwd = pair
-            if net.ends[li][0] == node:
+            if net.ends[li][0] != node:
+                fwd, bwd = bwd, fwd
+            if fwd is not None:
                 out.append(fwd)
+            if bwd is not None:
                 inn.append(bwd)
-            else:
-                out.append(bwd)
-                inn.append(fwd)
     return out, inn
 
 
@@ -289,24 +296,28 @@ def build_model(
     slots = net.slot_count
     demands = sorted(instance.demands, key=lambda d: d.id)
     links = net.links  # already sorted by id
-    cols, first = _variant_colors(instance, triples, variant)
+    arcs = _variant_arcs(instance, triples, variant)
 
-    # columns: blocks[di][li] = (first column, colors); the backward copy of
-    # the forward column j is j + len(colors)
+    # columns: blocks[di][li] = its forward and its backward arc, each
+    # (first column, colors, first colors); the backward arc's columns
+    # follow the forward arc's
     variables: list = []
     blocks: list = []
     fixed: list = []
+    big_m = 1  # exceeds any flow's cost: a slot carries at most one demand
     for d in demands:
         per_link = []
         for li, l in enumerate(links):
-            colors = cols[(d.id, l.id)]
-            start = len(variables)
-            per_link.append((start, colors))
-            for fwd in (True, False):
+            pair = []
+            for fwd, (colors, firsts) in zip((True, False), arcs[(d.id, l.id)]):
+                pair.append((len(variables), colors, firsts))
                 variables.extend(FlowVar(d.id, l.id, fwd, c) for c in colors)
+            (f_start, f_colors, _), (b_start, b_colors, _) = pair
+            big_m += len({*f_colors, *b_colors})
             if variant == "base":  # colors 1..C: column k is color k + 1
                 for k in np.flatnonzero(~net.free[li]).tolist():
-                    fixed += (start + k, start + slots + k)
+                    fixed += (f_start + k, b_start + k)
+            per_link.append(pair)
         blocks.append(per_link)
     n_flow = len(variables)
     if mode == "maxsubset":
@@ -320,13 +331,12 @@ def build_model(
     uni: list = [{} for _ in links]  # link index -> color -> columns
     for d, per_link in zip(demands, blocks):
         on_color: list = [{} for _ in range(slots + 1)]
-        for li, (start, colors) in enumerate(per_link):
-            n = len(colors)
+        for li, pair in enumerate(per_link):
             by_color = uni[li]
-            for k, c in enumerate(colors):
-                pair = (start + k, start + n + k)
-                on_color[c][li] = pair
-                by_color.setdefault(c, []).extend(pair)
+            for side, (start, colors, _) in enumerate(pair):
+                for k, c in enumerate(colors):
+                    on_color[c].setdefault(li, [None, None])[side] = start + k
+                    by_color.setdefault(c, []).append(start + k)
         s, t = net.node_index[d.s], net.node_index[d.t]
         out_all, in_all = [], []
         for c in range(1, slots + 1):
@@ -364,10 +374,10 @@ def build_model(
     # reachability: occupied length is at most reach * width
     for d, per_link in zip(demands, blocks):
         terms, vals = [], []
-        for l, (start, colors) in zip(links, per_link):
+        for l, ((start, f_colors, _), (_, b_colors, _)) in zip(links, per_link):
             if l.length == 0:
                 continue
-            n = 2 * len(colors)
+            n = len(f_colors) + len(b_colors)
             terms += range(start, start + n)
             vals += [l.length] * n
         if terms:
@@ -379,15 +389,15 @@ def build_model(
             terms = by_color[c]
             rows.add(f"uni_l{l.id}_c{c}", terms, [1] * len(terms), "<=", 1)
 
-    # contiguity families; identically true for width-1 demands, so skipped
+    # contiguity families, per arc over its own colors (a missing column
+    # counts as zero); identically true for width-1 demands, so skipped
     for d, per_link in zip(demands, blocks):
         w = d.width
         if w == 1:
             continue
-        for l, (start, colors) in zip(links, per_link):
-            firsts = first[(d.id, l.id)]
-            pos = {c: k for k, c in enumerate(colors)}
-            for base, dir_tag in ((start, "f"), (start + len(colors), "b")):
+        for l, pair in zip(links, per_link):
+            for (base, colors, firsts), dir_tag in zip(pair, "fb"):
+                pos = {c: k for k, c in enumerate(colors)}
                 for k, c in enumerate(colors):
                     if c in firsts:
                         terms = [base + pos[c + i] for i in range(w) if c + i in pos]
@@ -412,7 +422,6 @@ def build_model(
                         )
 
     n = len(variables)
-    big_m = sum(len(cs) for cs in cols.values()) + 1  # exceeds any flow's cost
     c_vec = np.zeros(n)
     c_vec[:n_flow] = 1
     c_vec[n_flow:] = -big_m

@@ -297,15 +297,27 @@ def _mark_reachable_edges(network, active, s, t, reach):
 def oracle_useful_triples(
     instance: RestorationInstance, guard: OracleGuard = OracleGuard()
 ) -> UsefulTripleSet:
-    """Brute-force usefulness; must coincide with trimming.compute_useful_triples."""
+    """Brute-force usefulness; must coincide with trimming.compute_useful_triples.
+
+    Its arc first colors are exact: the arcs that the simple paths of
+    `candidate_routings` traverse, in walk order, at their first colors.
+    Trimming's arc test keeps a superset of them.
+    """
     guard.check(instance, walks=True)
     net = instance.network
     useful = set()
     first_colors: dict = {}
+    arc_first: dict = {}
     valid_first: dict = {}
     non_reroutable = set()
 
     for demand in sorted(instance.demands, key=lambda d: d.id):
+        for cand in candidate_routings(net, demand):
+            node = demand.s
+            for link in cand.links:  # in walk order
+                key = (demand.id, link.id, link.u == node)
+                arc_first.setdefault(key, set()).add(cand.first_color)
+                node = link.other(node)
         w = demand.width
         valid: set = set()
         for c0 in range(1, net.slot_count - w + 2):
@@ -335,6 +347,7 @@ def oracle_useful_triples(
         first_colors={k: frozenset(v) for k, v in first_colors.items()},
         valid_first_colors=valid_first,
         non_reroutable=frozenset(non_reroutable),
+        arc_first_colors={k: frozenset(v) for k, v in arc_first.items()},
     )
 
 

@@ -91,13 +91,19 @@ class TestSolve:
         assert doc["objective"] == 2
         assert doc["meta"]["verified"] is True
         assert doc["meta"]["solver_invoked"] is True
-        assert doc["meta"]["model"]["variables"] == 8
+        assert doc["meta"]["model"]["variables"] == 4  # the forward arcs of links 1, 2
 
-    def test_highs_seconds_only_for_builtin(self, t1_file, tmp_path):
+    def test_highs_seconds_and_solver_stats_only_for_builtin(self, t1_file, tmp_path):
         out = tmp_path / "sol.json"
         assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 0
-        timings = read_json(out)["meta"]["timings"]
+        meta = read_json(out)["meta"]
+        timings = meta["timings"]
         assert 0 < timings["highs_seconds"] <= timings["solve_seconds"]
+        stats = meta["solver_stats"]
+        assert sorted(stats) == ["mip_dual_bound", "mip_gap", "mip_node_count"]
+        assert stats["mip_gap"] == 0
+        assert stats["mip_dual_bound"] == 2  # the optimum
+        assert isinstance(stats["mip_node_count"], int)
         solver = canned_solver(
             tmp_path,
             "Optimal - objective value 2\n"
@@ -105,9 +111,10 @@ class TestSolve:
             "      1 x_d1_l2_f_c1 1 0\n",
         )
         assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 0
-        timings = read_json(out)["meta"]["timings"]
-        assert "solve_seconds" in timings
-        assert "highs_seconds" not in timings
+        meta = read_json(out)["meta"]
+        assert "solve_seconds" in meta["timings"]
+        assert "highs_seconds" not in meta["timings"]
+        assert "solver_stats" not in meta
 
     def test_failed_external_solve_says_why_and_names_its_log(
         self, t1_file, tmp_path, monkeypatch
@@ -201,6 +208,20 @@ class TestSolve:
         assert code == 0
         doc = read_json(out)
         assert doc["restored"] in ([1], [2])
+
+    def test_maxsubset_objective_is_the_restored_count_as_in_oracle(
+        self, t3_file, tmp_path
+    ):
+        objectives = {}
+        for command in (["solve", "--solver", "builtin"], ["oracle"]):
+            out = tmp_path / f"{command[0]}.json"
+            assert main(
+                [command[0], t3_file, "--mode", "maxsubset", *command[1:], "-o", str(out)]
+            ) == 0
+            doc = read_json(out)
+            assert len(doc["restored"]) == 1
+            objectives[command[0]] = doc["objective"]
+        assert objectives == {"solve": 1, "oracle": 1}
 
     def test_trim_shortcut_skips_solver(self, t1_low_file, tmp_path):
         # a failing command template proves the solver was never invoked
@@ -445,7 +466,7 @@ class TestBench:
         for header, group in (table[:2], table[2:]):
             cells = dict(zip(header.split(" | "), group.split(" | ")))
             assert cells["#Tests"] == "2"
-            assert cells["Vars trimmed"] == rows["solved"]["variables"] == "8"
+            assert cells["Vars trimmed"] == rows["solved"]["variables"] == "4"
 
     def test_skips_non_instance_json(self, tmp_path, t1, capsys):
         corpus = tmp_path / "corpus"

@@ -18,18 +18,24 @@ def trimmed(inst, mode="feasibility"):
 
 
 class TestVariableSets:
-    def test_t1_trimmed_has_eight_flow_vars(self, t1):
+    def test_t1_trimmed_has_four_flow_vars(self, t1):
+        # only the forward arcs 1 -> 2 -> 3 lie on a simple path within reach
         model = trimmed(t1)
-        assert model_statistics(model).variables == 8
-        assert {v.link for v in model.variables} == {1, 2}
+        assert model_statistics(model).variables == 4
+        assert model.variables == (
+            FlowVar(1, 1, True, 1), FlowVar(1, 1, True, 2),
+            FlowVar(1, 2, True, 1), FlowVar(1, 2, True, 2),
+        )
 
     def test_t1_base_has_twelve(self, t1):
         model = build_model(t1, None, "base")
         assert model_statistics(model).variables == 12  # 1 demand x 3 links x 2 colors x 2 dirs
 
-    def test_t3_trimmed_has_four(self, t3):
+    def test_t3_trimmed_has_two(self, t3):
+        # both demands run 1 -> 2: the backward arc would enter the source
         model = trimmed(t3)
-        assert model_statistics(model).variables == 4
+        assert model_statistics(model).variables == 2
+        assert model.variables == (FlowVar(1, 1, True, 1), FlowVar(2, 1, True, 1))
 
     def test_empty_demand_set(self, t1):
         inst = RestorationInstance(t1.network, ())
@@ -98,8 +104,9 @@ class TestConstraints:
         fams = {row_family(c.tag) for c in model.constraints}
         assert {"ctgA", "ctgB", "ctgC"} <= fams
         ctg_c = [c for c in model.constraints if row_family(c.tag) == "ctgC"]
-        # color 4 is useful but never a first color: x4 <= x3 on both directions of both links
-        assert len(ctg_c) == 4
+        # color 4 is useful but never a first color: x4 <= x3 on the forward
+        # arc of both links, the only arcs kept
+        assert [c.tag for c in ctg_c] == ["ctgC_d4_l1f_c4", "ctgC_d4_l2f_c4"]
         for con in ctg_c:
             assert con.relation == ">="
             assert sorted(con.coeffs.values()) == [-1, 1]
@@ -132,7 +139,7 @@ class TestModes:
 
     def test_maxsubset_objective_uses_big_m(self, t3):
         model = trimmed(t3, "maxsubset")
-        # |U| = 2 undirected triples, so M = 3
+        # 2 (demand, link, color) with a column in either direction, so M = 3
         assert -model.c.min() == 3
         cost = dict(zip(model.variables, model.c.tolist()))
         assert cost[SelectVar(1)] == -3

@@ -69,6 +69,23 @@ class TestComputeUsefulTriples:
         assert got.non_reroutable == frozenset()
         assert got.first_colors_of(1, 3) == frozenset()
 
+    def test_t1_keeps_only_forward_arcs(self, t1):
+        # 2 -> 1 would enter the source and 3 -> 2 leave the target
+        got = compute_useful_triples(t1)
+        assert got.arc_first_colors == {(1, 1, True): {1, 2}, (1, 2, True): {1, 2}}
+
+    def test_arc_test_avoids_the_other_end(self):
+        # 1 -> 2 (link 2) is on the walk 1-2-1-...-4, but a simple path that
+        # enters 2 from 1 must go on to 4 over link 3 (1 + 10 > reach 5);
+        # arc 2 -> 1 of link 2 leads back to the source. Link 2 stays useful.
+        links = [Link(1, 1, 2, 1.0), Link(2, 1, 2, 1.0), Link(3, 2, 4, 10.0),
+                 Link(4, 1, 3, 1.0), Link(5, 3, 4, 1.0)]
+        net = OpticalNetwork([1, 2, 3, 4], links, {l.id: [1] for l in links}, 1)
+        inst = RestorationInstance(net, (Demand(1, 1, 4, 1, 5.0),))
+        got = compute_useful_triples(inst)
+        assert got.first_colors_of(1, 2) == {1}
+        assert got.arc_first_colors == {(1, 4, True): {1}, (1, 5, True): {1}}
+
     def test_t2_first_colors(self, t2):
         got = compute_useful_triples(t2)
         assert_triples_equal(got, oracle_useful_triples(t2))
@@ -138,6 +155,27 @@ class TestOracleEquivalence:
                             assert (demand.id, link_id, c) in got.useful, (
                                 f"seed {seed}: missing ({demand.id},{link_id},{c})"
                             )
+
+    def test_every_simple_path_keeps_its_arcs(self, small_corpus):
+        # Arc soundness: each arc a simple path within reach traverses, in
+        # walk order, keeps the path's first color, and an arc's first
+        # colors are among its link's. The oracle's arc set is exactly these.
+        for seed, inst in small_corpus:
+            got = compute_useful_triples(inst)
+            walked: dict = {}
+            for demand in inst.demands:
+                for cand in candidate_routings(inst.network, demand):
+                    node = demand.s
+                    for link in cand.links:
+                        arc = (demand.id, link.id, link.u == node)
+                        assert cand.first_color in got.arc_first_colors.get(arc, ()), (
+                            f"seed {seed}: arc {arc} drops first color {cand.first_color}"
+                        )
+                        walked.setdefault(arc, set()).add(cand.first_color)
+                        node = link.other(node)
+            assert oracle_useful_triples(inst).arc_first_colors == walked
+            for (d, l, _forward), colors in got.arc_first_colors.items():
+                assert colors <= got.first_colors_of(d, l), f"seed {seed}"
 
     def test_witness_reconstruction(self, small_corpus):
         # Tightness: every useful triple is reachable through a concrete walk
