@@ -260,13 +260,11 @@ def _out_in(net, node: int, on: dict):
     for li, _ in net.adj[node]:
         pair = on.get(li)
         if pair is not None:
-            fwd, bwd = pair
-            if net.ends[li][0] != node:
-                fwd, bwd = bwd, fwd
-            if fwd is not None:
-                out.append(fwd)
-            if bwd is not None:
-                inn.append(bwd)
+            leaving, entering = pair if net.ends[li][0] == node else pair[::-1]
+            if leaving is not None:
+                out.append(leaving)
+            if entering is not None:
+                inn.append(entering)
     return out, inn
 
 
