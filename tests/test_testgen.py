@@ -3,11 +3,21 @@ import hashlib
 import pytest
 
 from flexrsa.io import dumps_json, instance_to_dict, load_instance
-from flexrsa.model import Link, OpticalNetwork, RestorationInstance, paths_intersect
+from flexrsa.model import (
+    Demand,
+    Link,
+    OpticalNetwork,
+    RestorationInstance,
+    RoutedPath,
+    paths_intersect,
+)
 from flexrsa.testgen import (
     MODULATION_REACH_KM,
     GenerationError,
+    LoadedNetwork,
+    ProvisionedDemand,
     _Router,
+    _self_check,
     builtin_topology_path,
     generate_loaded_network,
     make_scenario,
@@ -194,6 +204,56 @@ class TestRouter:
                 for l in loaded.topology.links
             ]
             assert router.recovery_avail(own).astype(bool).tolist() == expected
+
+
+class TestSelfCheck:
+    """`_self_check` on hand-made provisionings of the small ring (links
+    1: 1-2, 2: 2-3, 3: 3-4, 4: 4-5, 5: 5-1, 6: 2-5), one per invariant."""
+
+    TOPOLOGY = small_topology(slot_count=4)
+
+    def provision(self, *rows):
+        """rows: (s, t, main link ids, main first color, recovery link ids,
+        recovery first color), width 1; demand ids count from 1."""
+        net = self.TOPOLOGY
+
+        def path(ids, color):
+            return RoutedPath(tuple(net.link(i) for i in ids), color, 1)
+
+        provisioned = tuple(
+            ProvisionedDemand(
+                Demand(i, s, t, 1, 1000.0), path(main, mc), path(rec, rc)
+            )
+            for i, (s, t, main, mc, rec, rc) in enumerate(rows, start=1)
+        )
+        return LoadedNetwork(net, net, provisioned, 0, 1000.0, None, (1,), ())
+
+    def test_recoveries_of_link_disjoint_mains_may_share_slots(self):
+        _self_check(self.provision(
+            (1, 2, [1], 1, [5, 6], 1),
+            (3, 4, [3], 1, [2, 6, 4], 1),  # shares link 6, color 1 with d1's
+        ))
+
+    @pytest.mark.parametrize("rows, message", [
+        (((1, 2, [1], 1, [5, 6], 1), (1, 2, [1], 1, [5, 6], 2)),
+         "mains of d1 and d2 intersect"),
+        (((1, 2, [1], 1, [5, 6], 1), (5, 1, [5], 1, [6, 1], 2)),
+         "a main intersects a recovery reservation"),
+        (((5, 1, [5], 1, [6, 1], 2), (1, 2, [1], 1, [5, 6], 1)),
+         "a main intersects a recovery reservation"),
+        (((1, 2, [1], 1, [5, 6], 1), (1, 3, [1, 2], 2, [5, 4, 3], 1)),
+         "recoveries of d1/d2 intersect although their mains share a link"),
+        (((1, 2, [1], 1, [1], 2),),
+         "recovery of d1 shares a link with its main"),
+        (((1, 2, [2], 1, [5, 6], 1),), "main path of d1 invalid"),
+        (((1, 2, [1], 1, [5, 4], 1),), "recovery path of d1 invalid"),
+    ], ids=["two-mains", "main-on-later-recovery", "main-on-earlier-recovery",
+            "recoveries-of-link-sharing-mains", "recovery-on-own-main",
+            "invalid-main", "invalid-recovery"])
+    def test_each_invariant_raises(self, rows, message):
+        with pytest.raises(GenerationError) as err:
+            _self_check(self.provision(*rows))
+        assert str(err.value) == message
 
 
 class TestScenarios:
