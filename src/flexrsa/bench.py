@@ -11,7 +11,7 @@ an optimal or feasible answer that is not certified is `error`.
 Instances are `*.json` files; a sibling `<name>.manifest.json` (as written by
 `flexrsa gen`) supplies the grouping metadata (kind, modulation, broken link).
 Rows are sorted by (case, variant, solver), so reruns differ only in the
-timing columns.
+`TIMING_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from .model import InputError
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",
     "variables", "constraints", "trim_seconds", "build_seconds",
-    "solve_seconds", "status", "objective",
+    "solve_seconds", "highs_seconds", "status", "objective",
 ]
+# vary between reruns; highs_seconds is empty where no builtin solve ran
+TIMING_COLUMNS = ("trim_seconds", "build_seconds", "solve_seconds", "highs_seconds")
 
 
 @dataclass
@@ -94,6 +96,7 @@ def run_cell(
         "trim_seconds": timings["trim_seconds"],
         "build_seconds": timings.get("build_seconds", ""),
         "solve_seconds": timings.get("solve_seconds", ""),
+        "highs_seconds": timings.get("highs_seconds", ""),
         "status": cli.reported_status(doc),
         "objective": "" if doc["objective"] is None else doc["objective"],
     }

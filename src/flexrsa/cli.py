@@ -227,6 +227,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    second_kind = args.break_link is not None and args.kind == "second"
+    if args.first_break is not None and not second_kind:
+        raise InputError("--first-break needs --break and --kind second")
     topo_path = _resolve_topology(args.topology)
     topology = load_instance(topo_path).network
     if args.slot_count is not None:

@@ -226,10 +226,9 @@ def _variant_arcs(instance, triples, variant):
     if variant == "notrim":
         by_width: dict = {}  # width -> per link position, its free windows' first colors
         for w in {d.width for d in instance.demands}:
-            windows = free_windows(net.free, w)
             by_width[w] = [
-                frozenset(c for c, active in enumerate(windows, start=1) if active[e])
-                for e in range(len(net.links))
+                frozenset((np.flatnonzero(col) + 1).tolist())
+                for col in free_windows(net.free, w).T
             ]
     arcs: dict = {}
     for d in instance.demands:

@@ -17,6 +17,10 @@ recoveries of mains that use links[m]. The reservation rules above are then
 masks: a main may use free & ~held.any(axis=0), a recovery for main M may
 use free & ~held[rows of M].any(axis=0).
 
+First-fit skips the color windows that cannot reach t: those that s or t
+touches with no link, and range graphs that already failed in the call.
+The self-check maps each slot to its owners instead of comparing pairs.
+
 First-kind scenarios break one eligible link (eligible: it carries a main of
 width > 1); the freed broken demands are always jointly restorable, the
 removed recovery paths being a witness. Second-kind scenarios re-provision
@@ -37,6 +41,7 @@ from .model import (
     OpticalNetwork,
     RestorationInstance,
     RoutedPath,
+    is_valid_path,
 )
 from .trimming import dijkstra, free_windows
 
@@ -109,6 +114,7 @@ class _Router:
         self.link_index = topology.link_index
         self.links = topology.links
         self.adj = topology.adj
+        self.incident = [[e for e, _ in pairs] for pairs in topology.adj]
         self.lengths = [l.length for l in self.links]
         self.free = topology.free.copy()
         m = len(self.links)
@@ -137,22 +143,30 @@ class _Router:
 
     def first_fit(self, s, t, width, reach, avail, banned_links=frozenset()):
         """Lowest first color admitting a reach-valid route, plus the shortest
-        such route in that color range."""
+        such route in that color range. Dijkstra skips a window where s or t
+        has no incident link carrying it, or whose range graph already failed
+        in this call: it cannot reach t there, so the result is unchanged."""
         if banned_links:
             avail = avail.copy()
             avail[[self.link_index[i] for i in banned_links]] = False
         root, target = self.node_index[s], self.node_index[t]
-        for c, active in enumerate(free_windows(avail, width), start=1):
-            dist, pred = dijkstra(self.adj, self.lengths, active, root)
-            if dist[target] > reach:
+        windows = free_windows(avail, width)
+        at_s, at_t = (windows[:, self.incident[n]].any(axis=1) for n in (root, target))
+        failed = set()  # range graphs (window rows as bytes) that missed t
+        for c in np.flatnonzero(at_s & at_t).tolist():
+            key = windows[c].tobytes()
+            if key in failed:
                 continue
-            links = []
-            node = t
+            dist, pred = dijkstra(self.adj, self.lengths, windows[c].tolist(), root)
+            if pred[target] < 0 or dist[target] > reach:
+                failed.add(key)
+                continue
+            links, node = [], t
             while node != s:
                 link = self.links[pred[self.node_index[node]]]
                 links.append(link)
                 node = link.other(node)
-            return RoutedPath(links=tuple(reversed(links)), first_color=c, width=width)
+            return RoutedPath(links=tuple(reversed(links)), first_color=c + 1, width=width)
         return None
 
 
@@ -258,9 +272,10 @@ def generate_loaded_network(
 
 
 def _self_check(loaded: LoadedNetwork) -> None:
-    """Shared-protection invariants; violations are generator bugs."""
-    from .model import is_valid_path, paths_intersect
-
+    """Shared-protection invariants; violations are generator bugs. Paths
+    must be valid, each recovery link-disjoint from its main; then, by slot
+    owners: no slot has two mains, or a main and a recovery, or recoveries
+    of mains that share a link."""
     for pd in loaded.provisioned:
         if not is_valid_path(pd.main, pd.demand, loaded.topology):
             raise GenerationError(f"main path of d{pd.demand.id} invalid")
@@ -270,25 +285,31 @@ def _self_check(loaded: LoadedNetwork) -> None:
             raise GenerationError(
                 f"recovery of d{pd.demand.id} shares a link with its main"
             )
-    items = list(loaded.provisioned)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if paths_intersect(a.main, b.main):
+
+    def slots(path):
+        return {(link_id, c) for link_id in path.link_ids() for c in path.colors()}
+
+    main_of: dict = {}  # (link id, color) -> the demand whose main uses it
+    for pd in loaded.provisioned:
+        for slot in slots(pd.main):
+            other = main_of.setdefault(slot, pd)
+            if other is not pd:
                 raise GenerationError(
-                    f"mains of d{a.demand.id} and d{b.demand.id} intersect"
+                    f"mains of d{other.demand.id} and d{pd.demand.id} intersect"
                 )
-            if paths_intersect(a.main, b.recovery) or paths_intersect(
-                b.main, a.recovery
-            ):
+    recoveries_on: dict = {}  # (link id, color) -> demands whose recoveries use it
+    for pd in loaded.provisioned:
+        for slot in slots(pd.recovery):
+            if slot in main_of:
                 raise GenerationError("a main intersects a recovery reservation")
-            mains_share_link = bool(
-                set(a.main.link_ids()) & set(b.main.link_ids())
-            )
-            if mains_share_link and paths_intersect(a.recovery, b.recovery):
-                raise GenerationError(
-                    f"recoveries of d{a.demand.id}/d{b.demand.id} intersect "
-                    "although their mains share a link"
-                )
+            on_slot = recoveries_on.setdefault(slot, [])
+            for other in on_slot:
+                if set(pd.main.link_ids()) & set(other.main.link_ids()):
+                    raise GenerationError(
+                        f"recoveries of d{other.demand.id}/d{pd.demand.id} "
+                        "intersect although their mains share a link"
+                    )
+            on_slot.append(pd)
 
 
 # ---------------------------------------------------------------------------

@@ -99,14 +99,15 @@ def dijkstra(adj, lengths: list, active: list, root: int):
     return dist, pred
 
 
-def free_windows(avail: np.ndarray, width: int) -> list:
+def free_windows(avail: np.ndarray, width: int) -> np.ndarray:
     """For an (edges x colors) free-slot matrix such as `OpticalNetwork.free`:
-    list indexed by first color - 1 of per-edge flags, True iff the edge has
-    all `width` colors from that first color on free."""
+    the (first colors x edges) bool array whose row c - 1 flags the edges
+    with all `width` colors from first color c on free; no rows when
+    `width` exceeds the colors. Callers convert the rows they read."""
     if width > avail.shape[1]:
-        return []
+        return np.zeros((0, avail.shape[0]), dtype=bool)
     windows = np.lib.stride_tricks.sliding_window_view(avail, width, axis=1)
-    return windows.all(axis=2).T.tolist()
+    return windows.all(axis=2).T
 
 
 def _avoiding(adj, lengths, active, ends, root: int, dist, pred):
@@ -178,14 +179,16 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     valid_first: dict = {}
     non_reroutable = set()
     scans: dict = {}  # (s, t, reach, range graph) -> its _scan_window
+    widths = {d.width for d in instance.demands}
+    windows = {w: list(map(tuple, free_windows(net.free, w).tolist())) for w in widths}
 
     for demand in sorted(instance.demands, key=lambda d: d.id):
         s, t, reach = node_index[demand.s], node_index[demand.t], demand.reach
         valid = []
         # edge -> first colors it lies on: on a walk, as forward, as backward arc
         marks: tuple = tuple([[] for _ in ends] for _ in range(3))
-        for c, active in enumerate(free_windows(net.free, demand.width), start=1):
-            key = (s, t, reach, tuple(active))
+        for c, active in enumerate(windows[demand.width], start=1):
+            key = (s, t, reach, active)
             if key not in scans:
                 scans[key] = _scan_window(adj, ends, lengths, active, s, t, reach)
             scan = scans[key]

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import corpus_instances
 from flexrsa.backend import INFEASIBLE, OPTIMAL, SolverConfig, solve
+from flexrsa.bench import TIMING_COLUMNS
 from flexrsa.cli import main as cli_main
 from flexrsa.extract import extract_paths, verify_solution
 from flexrsa.io import load_instance, save_instance
@@ -391,8 +392,7 @@ def test_criterion_10_determinism(tmp_path, t1, t3):
         with open(csv_path) as fh:
             lines = fh.read().splitlines()
         header = lines[0].split(",")
-        timing = {header.index(c) for c in
-                  ("trim_seconds", "build_seconds", "solve_seconds")}
+        timing = {header.index(c) for c in TIMING_COLUMNS}
         scrubbed = [
             ",".join("x" if i in timing else cell
                      for i, cell in enumerate(line.split(",")))

@@ -406,6 +406,21 @@ class TestGenAndValidate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--break", "1", "--kind", "first"],
+        [],
+    ], ids=["first-kind", "no-break"])
+    def test_gen_refuses_first_break_without_second_kind(self, tmp_path, capsys, extra):
+        out_dir = tmp_path / "out"
+        assert main(
+            ["gen", "ring14", "--modulation", "qpsk", "--seed", "7",
+             "--out-dir", str(out_dir), "--first-break", "3", *extra]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: --first-break needs --break and --kind second\n"
+        )
+        assert not out_dir.exists()
+
     def test_unknown_topology(self, tmp_path):
         assert main(
             ["gen", "usnet", "--modulation", "bpsk", "--out-dir", str(tmp_path)]
@@ -434,7 +449,8 @@ class TestBench:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == (
             "case,kind,modulation,broken_link,variant,solver,variables,"
-            "constraints,trim_seconds,build_seconds,solve_seconds,status,objective"
+            "constraints,trim_seconds,build_seconds,solve_seconds,highs_seconds,"
+            "status,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
         rows = read_csv_rows(csv_path)
@@ -461,6 +477,8 @@ class TestBench:
         rows = {r["case"]: r for r in read_csv_rows(csv_path)}
         assert rows["trimmed_away"]["status"] == "infeasible"
         assert rows["trimmed_away"]["variables"] == rows["trimmed_away"]["solve_seconds"] == ""
+        assert rows["trimmed_away"]["highs_seconds"] == ""  # no solve ran
+        assert 0 < float(rows["solved"]["highs_seconds"]) <= float(rows["solved"]["solve_seconds"])
         table = [l for l in md_path.read_text().splitlines() if l.startswith("| ")]
         assert len(table) == 4  # two tables, each a header and one group
         for header, group in (table[:2], table[2:]):

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from flexrsa.io import dumps_json, instance_to_dict, load_instance
@@ -22,6 +23,7 @@ from flexrsa.testgen import (
     generate_loaded_network,
     make_scenario,
 )
+from flexrsa.trimming import dijkstra, free_windows
 
 
 def load_topology(name):
@@ -204,6 +206,74 @@ class TestRouter:
                 for l in loaded.topology.links
             ]
             assert router.recovery_avail(own).astype(bool).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "topology, modulation", [("ring14", "qpsk"), ("grid12", "8qam")]
+    )
+    def test_first_fit_matches_searching_every_window(self, topology, modulation):
+        """first_fit skips windows; a Dijkstra on every window from color 1
+        must give the same route, or None, for every pair and width."""
+
+        def reference(router, s, t, width, reach, avail, banned_links=frozenset()):
+            if banned_links:
+                avail = avail.copy()
+                avail[[router.link_index[i] for i in banned_links]] = False
+            root, target = router.node_index[s], router.node_index[t]
+            for c, active in enumerate(free_windows(avail, width).tolist(), start=1):
+                dist, pred = dijkstra(router.adj, router.lengths, active, root)
+                if dist[target] > reach:
+                    continue
+                links, node = [], t
+                while node != s:
+                    link = router.links[pred[router.node_index[node]]]
+                    links.append(link)
+                    node = link.other(node)
+                return RoutedPath(tuple(reversed(links)), c, width)
+            return None
+
+        loaded = generate_loaded_network(
+            load_topology(topology),
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        router = _Router(loaded.topology)
+        for pd in loaded.provisioned:
+            router.occupy_main(pd.main)
+            router.reserve_recovery(pd.recovery, frozenset(pd.main.link_ids()))
+        reach = loaded.reach_km
+        nodes = loaded.topology.nodes
+        routed = 0
+        for width in (1, 2, 4, loaded.topology.slot_count + 1):
+            for s in nodes:
+                for t in nodes:
+                    if s == t:
+                        continue
+                    main = reference(router, s, t, width, reach, router.main_avail())
+                    assert router.first_fit(s, t, width, reach, router.main_avail()) == main
+                    # a main over the slots free of mains, if none is left
+                    main = main or reference(router, s, t, width, reach, router.free)
+                    if main is None:
+                        continue
+                    routed += 1
+                    own = frozenset(main.link_ids())
+                    avail = router.recovery_avail(own)
+                    assert router.first_fit(
+                        s, t, width, reach, avail, banned_links=own
+                    ) == reference(router, s, t, width, reach, avail, banned_links=own)
+        assert routed > len(nodes)  # the recovery case was exercised
+
+    def test_disconnected_window_with_infinite_reach(self):
+        """t out of reach has distance inf, which is not above an infinite
+        reach; first_fit must still find no route rather than walk a
+        missing predecessor."""
+        router = _Router(small_topology(slot_count=2))
+        avail = np.zeros_like(router.free)
+        avail[[0, 2], 0] = True  # color 1 on links 1 (1-2) and 3 (3-4) only
+        assert router.first_fit(1, 4, 1, float("inf"), avail) is None
+        assert router.first_fit(3, 4, 1, float("inf"), avail) == RoutedPath(
+            (router.links[2],), 1, 1
+        )
 
 
 class TestSelfCheck:

@@ -22,7 +22,7 @@ def assert_triples_equal(a, b):
 
 def color_one_dijkstra(net, root):
     """Dijkstra from node `root` over the links on which color 1 is free."""
-    active = free_windows(net.free, 1)[0]
+    active = free_windows(net.free, 1)[0].tolist()
     lengths = [l.length for l in net.links]
     return dijkstra(net.adj, lengths, active, net.node_index[root])
 
