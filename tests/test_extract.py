@@ -9,6 +9,7 @@ from flexrsa.extract import (
 )
 from flexrsa.milp import FlowVar, SelectVar, build_model
 from flexrsa.model import RestorationInstance, RoutedPath
+from flexrsa.oracle import oracle_solve
 from flexrsa.trimming import compute_useful_triples
 
 BUILTIN = SolverConfig(solver="builtin", time_limit=60)
@@ -101,6 +102,92 @@ class TestExtractionErrors:
             bad[fv(4, link, True, 3)] = 1  # gap at color 2
         with pytest.raises(ExtractionError, match="contiguous|block"):
             extract_paths(bad, model, t4)
+
+
+def witness_arcs(path, s):
+    """(link, forward) per link of a routed path, walked from s."""
+    arcs, cur = [], s
+    for link in path.links:
+        forward = link.u == cur
+        arcs.append((link, forward))
+        cur = link.v if forward else link.u
+    return arcs
+
+
+def witness_assignment(model, instance, witness):
+    """The model's columns set to 1 exactly where the witness routes flow,
+    with every routed demand selected in maxsubset."""
+    assignment = {v: 0 for v in model.variables}
+    demands = {d.id: d for d in instance.demands}
+    for d_id, path in witness.items():
+        if model.mode == "maxsubset":
+            assignment[SelectVar(d_id)] = 1
+        for link, forward in witness_arcs(path, demands[d_id].s):
+            for c in path.colors():
+                assignment[fv(d_id, link.id, forward, c)] = 1
+    assert set(assignment) == set(model.variables)  # the witness has columns
+    return assignment
+
+
+def broken_assignments(model, instance, witness, assignment):
+    """Single changes to a witness assignment that must each be refused:
+    (what changed, the changed assignment)."""
+    columns = set(model.variables)
+    demands = {d.id: d for d in instance.demands}
+    links = instance.network.links
+    for d_id, path in sorted(witness.items()):
+        d = demands[d_id]
+        arcs = witness_arcs(path, d.s)
+        on_path = {d.s, d.t} | {n for link in path.links for n in (link.u, link.v)}
+        block = set(path.colors())
+        changes = []
+        for link, forward in arcs:
+            changes.append((f"drop d{d_id} l{link.id}", fv(d_id, link.id, forward, path.first_color), 0))
+            for c in range(1, instance.network.slot_count + 1):
+                if c not in block:
+                    changes.append((f"d{d_id} l{link.id} at c{c}", fv(d_id, link.id, forward, c), 1))
+        for link in links:
+            for forward in (True, False):
+                head = link.v if forward else link.u
+                tail = link.u if forward else link.v
+                key = fv(d_id, link.id, forward, path.first_color)
+                if head == d.s:
+                    changes.append((f"d{d_id} l{link.id} enters the source", key, 1))
+                elif tail not in on_path and head not in on_path:
+                    changes.append((f"d{d_id} l{link.id} detached", key, 1))
+        if model.mode == "maxsubset":
+            changes.append((f"d{d_id} unselected", SelectVar(d_id), 0))
+        for what, key, value in changes:
+            if key in columns and assignment[key] != value:
+                yield what, {**assignment, key: value}
+
+
+class TestWitnessRoundTrip:
+    """Every feasible corpus instance's oracle witness, written as a model
+    assignment, extracts to exactly that witness; each single change that
+    leaves the one-simple-path-per-demand shape is refused."""
+
+    @pytest.mark.parametrize("variant", ["base", "notrim", "trimmed"])
+    def test_corpus(self, small_corpus, variant):
+        refused = 0
+        for seed, inst in small_corpus:
+            outcome = oracle_solve(inst)
+            if not outcome.feasible:
+                continue
+            triples = compute_useful_triples(inst)
+            for mode in ("feasibility", "maxsubset"):
+                model = build_model(inst, triples, variant, mode)
+                assignment = witness_assignment(model, inst, outcome.witness)
+                result = extract_paths(assignment, model, inst)
+                assert result.paths == outcome.witness, seed
+                for what, bad in broken_assignments(model, inst, outcome.witness, assignment):
+                    try:
+                        extract_paths(bad, model, inst)
+                    except ExtractionError:
+                        refused += 1
+                    else:
+                        pytest.fail(f"seed {seed} {mode}: {what} was accepted")
+        assert refused
 
 
 class TestVerification:

@@ -103,6 +103,42 @@ class TestGolden:
         text = dumps_json(parts)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    def test_small_ring_sweep_digest(self):
+        """Every first-kind break and every second-kind (first break, break)
+        pair of eligible links on the small ring, seeds 0-3, two width
+        schedules: each scenario with its manifest, or the GenerationError
+        text where it is refused."""
+        parts = []
+        for seed in range(4):
+            for widths in ((2, 1), (4, 2, 1)):
+                loaded = generate_loaded_network(
+                    small_topology(slot_count=8), 600.0, widths, seed=seed
+                )
+                eligible = loaded.eligible_links()
+                parts += [
+                    instance_to_dict(RestorationInstance(loaded.network, ())),
+                    list(loaded.log),
+                    eligible,
+                ]
+                cases = [(broken, "first", None) for broken in eligible]
+                cases += [
+                    (broken, "second", first)
+                    for first in eligible
+                    for broken in eligible
+                    if broken != first
+                ]
+                for broken, kind, first in cases:
+                    try:
+                        scenario = make_scenario(loaded, broken, kind, first_break=first)
+                    except GenerationError as err:
+                        parts.append(str(err))
+                    else:
+                        parts += [instance_to_dict(scenario.instance), scenario.manifest]
+        text = dumps_json(parts)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "5886387cc3bc18e866bdb345d0ddf358ad3bf01002a576df27d18a70d2742c3f"
+        )
+
 
 class TestLoading:
     def test_deterministic(self):
@@ -391,6 +427,25 @@ class TestScenarios:
         assert scenario.manifest["broken_demands"] == sorted(
             d.id for d in scenario.instance.demands
         )
+
+    @pytest.mark.parametrize("widths, broken, kind, first_break, message", [
+        ((2, 1), 2, "third", None, "unknown scenario kind 'third'"),
+        ((2, 1), 1, "first", None,
+         "link 1 not eligible (needs a width>1 main); eligible links: [2, 4, 5]"),
+        ((1,), 1, "second", None, "no eligible link available for the first break"),
+        ((2, 1), 2, "second", 2, "first and second break must differ"),
+        ((2, 1), 2, "second", 1, "first break 1 not eligible; eligible links: [2, 4, 5]"),
+        ((2, 1), 1, "second", 2,
+         "link 1 not eligible for the second break; eligible links: [3, 4, 5, 6]"),
+    ], ids=["unknown-kind", "first-kind-ineligible", "no-first-break",
+            "same-break", "ineligible-first-break", "ineligible-second-break"])
+    def test_each_refusal_text(self, widths, broken, kind, first_break, message):
+        loaded = generate_loaded_network(
+            small_topology(slot_count=8), 600.0, widths, seed=9
+        )
+        with pytest.raises(GenerationError) as err:
+            make_scenario(loaded, broken, kind, first_break=first_break)
+        assert str(err.value) == message
 
     def test_same_break_twice_rejected(self):
         loaded = self.make_loaded()
