@@ -230,6 +230,9 @@ def cmd_gen(args) -> int:
     second_kind = args.break_link is not None and args.kind == "second"
     if args.first_break is not None and not second_kind:
         raise InputError("--first-break needs --break and --kind second")
+    if args.kind is not None and args.break_link is None:
+        raise InputError("--kind needs --break")
+    kind = args.kind or "first"
     topo_path = _resolve_topology(args.topology)
     topology = load_instance(topo_path).network
     if args.slot_count is not None:
@@ -275,11 +278,11 @@ def cmd_gen(args) -> int:
         )
     else:
         scenario = make_scenario(
-            loaded, args.break_link, args.kind, first_break=args.first_break
+            loaded, args.break_link, kind, first_break=args.first_break
         )
         name = args.name or (
             f"{topo_name}-{args.modulation}-s{args.seed}"
-            f"-b{args.break_link}-{args.kind}"
+            f"-b{args.break_link}-{kind}"
         )
         instance = scenario.instance
         manifest = dict(base, **scenario.manifest)
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot-count", type=int)
     p.add_argument("--widths", default="1,4,2,1")
     p.add_argument("--break", dest="break_link", type=int)
-    p.add_argument("--kind", choices=("first", "second"), default="first")
+    p.add_argument("--kind", choices=("first", "second"))
     p.add_argument("--first-break", type=int)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--name")

@@ -1,8 +1,9 @@
 """Turn a solver assignment back into routed paths and certify them.
 
-Extraction walks each demand's flow at its first color from the source; any
-assignment that does not decompose into one simple path per routed demand
-(split flow, leftover cyclic components, a broken color block) raises
+Extraction groups each demand's set flow columns by arc and walks them from
+the source. It accepts an assignment iff every routed demand's arcs form one
+simple s->t path, each arc carrying one contiguous block of `width` colors
+and nothing else; split flow, leftover components or a broken block raise
 ExtractionError - that indicates a model bug, not bad input. Verification
 re-checks every routed path against the original instance and reports all
 violations instead of raising; its per-path checks are
@@ -37,95 +38,65 @@ class ExtractResult:
 def extract_paths(
     assignment: dict, model: MilpModel, instance: RestorationInstance
 ) -> ExtractResult:
-    """Reconstruct one RoutedPath per routed demand from a 0/1 assignment."""
+    """Reconstruct one RoutedPath per routed demand from a 0/1 assignment.
+
+    A demand's set flow columns are accepted iff they form one simple s->t
+    path whose every arc carries exactly the block [c, c + width), c being
+    the demand's lowest set color; in maxsubset an unselected demand must
+    have none. Anything else raises ExtractionError.
+    """
     net = instance.network
-    set_vars: dict = {}
-    selected: dict = {}
+    flows: dict = {}  # demand id -> (link id, forward) -> colors
+    selected = set()
     for key, value in assignment.items():
         if not value:
             continue
         if isinstance(key, SelectVar):
-            selected[key.demand] = 1
+            selected.add(key.demand)
         elif isinstance(key, FlowVar):
-            set_vars.setdefault(key.demand, set()).add(
-                (key.link, key.forward, key.color)
-            )
+            arcs = flows.setdefault(key.demand, {})
+            arcs.setdefault((key.link, key.forward), set()).add(key.color)
 
     maxsubset = model.mode == "maxsubset"
     paths: dict = {}
     for demand in sorted(instance.demands, key=lambda d: d.id):
-        occupied = set_vars.get(demand.id, set())
-        if maxsubset and not selected.get(demand.id):
-            if occupied:
-                raise ExtractionError(
-                    demand.id, "flow assigned to an unselected demand"
-                )
+        arcs = flows.get(demand.id, {})
+        if maxsubset and demand.id not in selected:
+            if arcs:
+                raise ExtractionError(demand.id, "flow assigned to an unselected demand")
             continue
-        if not occupied:
+        if not arcs:
             raise ExtractionError(demand.id, "no flow assigned")
 
-        by_dirlink: dict = {}
-        for link_id, forward, color in occupied:
-            by_dirlink.setdefault((link_id, forward), set()).add(color)
-
-        def start_node(link_id, forward):
+        first = min(min(colors) for colors in arcs.values())
+        block = set(range(first, first + demand.width))
+        leaving: dict = {}  # tail node -> [(link, head node)]
+        for (link_id, forward), colors in arcs.items():
+            if colors != block:
+                raise ExtractionError(
+                    demand.id,
+                    f"occupied colors {sorted(colors)} on link {link_id} "
+                    f"are not the contiguous block {sorted(block)}",
+                )
             link = net.link(link_id)
-            return link.u if forward else link.v
-
-        starts = [
-            dl for dl in by_dirlink if start_node(*dl) == demand.s
-        ]
-        if len(starts) != 1:
-            raise ExtractionError(
-                demand.id, f"flow leaves the source on {len(starts)} links"
-            )
-        tracer = min(by_dirlink[starts[0]])
+            tail, head = (link.u, link.v) if forward else (link.v, link.u)
+            leaving.setdefault(tail, []).append((link, head))
 
         links = []
-        used = set()
-        cur = demand.s
-        visited = {demand.s}
-        while cur != demand.t:
-            nxt = [
-                (link_id, forward)
-                for (link_id, forward), colors in by_dirlink.items()
-                if (link_id, forward) not in used
-                and start_node(link_id, forward) == cur
-                and tracer in colors
-            ]
-            if len(nxt) != 1:
-                raise ExtractionError(
-                    demand.id,
-                    f"{len(nxt)} outgoing links at {cur!r} on color {tracer}",
-                )
-            link_id, forward = nxt[0]
-            used.add((link_id, forward))
-            link = net.link(link_id)
+        node, visited = demand.s, {demand.s}
+        while node != demand.t:
+            out = leaving.get(node, ())
+            if len(out) != 1:
+                raise ExtractionError(demand.id, f"{len(out)} outgoing links at {node!r}")
+            link, node = out[0]
+            if node in visited:
+                raise ExtractionError(demand.id, f"cycle through {node!r}")
+            visited.add(node)
             links.append(link)
-            cur = link.v if forward else link.u
-            if cur in visited and cur != demand.t:
-                raise ExtractionError(demand.id, f"cycle through {cur!r}")
-            visited.add(cur)
-
-        w = demand.width
-        block = set(range(tracer, tracer + w))
-        for dirlink in used:
-            if by_dirlink[dirlink] != block:
-                raise ExtractionError(
-                    demand.id,
-                    f"occupied colors {sorted(by_dirlink[dirlink])} on link "
-                    f"{dirlink[0]} are not the contiguous block {sorted(block)}",
-                )
-        if len(occupied) != w * len(links):
-            raise ExtractionError(
-                demand.id, "leftover flow outside the extracted path"
-            )
-        paths[demand.id] = RoutedPath(
-            links=tuple(links), first_color=tracer, width=w
-        )
-
-    restored = frozenset(paths) if maxsubset else None
-    return ExtractResult(paths=paths, restored=restored)
+        if len(links) != len(arcs):
+            raise ExtractionError(demand.id, "leftover flow outside the extracted path")
+        paths[demand.id] = RoutedPath(tuple(links), first, demand.width)
+    return ExtractResult(paths, frozenset(paths) if maxsubset else None)
 
 
 # ---------------------------------------------------------------------------

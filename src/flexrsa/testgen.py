@@ -25,6 +25,9 @@ First-kind scenarios break one eligible link (eligible: it carries a main of
 width > 1); the freed broken demands are always jointly restorable, the
 removed recovery paths being a witness. Second-kind scenarios re-provision
 the broken demands and then break a second eligible link, with no guarantee.
+Both kinds end in the same break of routed paths: the mains for the first
+kind; for the second, the mains with the first break's demands re-provisioned,
+whose eligible links leave out the first break.
 """
 
 from __future__ import annotations
@@ -84,11 +87,10 @@ class LoadedNetwork:
 
     def eligible_links(self) -> list:
         """Links carrying at least one main path of width > 1."""
-        out = set()
-        for pd in self.provisioned:
-            if pd.demand.width > 1:
-                out.update(pd.main.link_ids())
-        return sorted(out)
+        return _eligible(
+            {pd.demand.id: pd.main for pd in self.provisioned},
+            {pd.demand.id: pd.demand for pd in self.provisioned},
+        )
 
 
 @dataclass(frozen=True)
@@ -316,10 +318,29 @@ def _self_check(loaded: LoadedNetwork) -> None:
 # Scenarios
 # ---------------------------------------------------------------------------
 
-def _split_by_break(provisioned, broken_link: int):
-    broken = [pd for pd in provisioned if broken_link in pd.main.link_ids()]
-    surviving = [pd for pd in provisioned if broken_link not in pd.main.link_ids()]
-    return broken, surviving
+def _eligible(routed: dict, demands: dict, dropped=frozenset()) -> list:
+    """Sorted ids of the links carrying a routed path of a width > 1 demand,
+    minus the dropped links. routed and demands are keyed by demand id."""
+    return sorted(
+        {
+            link_id
+            for d_id, path in routed.items()
+            if demands[d_id].width > 1
+            for link_id in path.link_ids()
+            if link_id not in dropped
+        }
+    )
+
+
+def _break(topology, routed: dict, demands: dict, link: int, dropped):
+    """Break `link` under the routed paths: the instance of the demands whose
+    path uses it, on the topology minus the dropped links and minus the other
+    paths' slots, and the sorted ids of those demands."""
+    hit = {d_id for d_id, path in routed.items() if link in path.link_ids()}
+    surviving = (path for d_id, path in routed.items() if d_id not in hit)
+    network = _restrict_network(topology, surviving, drop_links=dropped)
+    broken = sorted(hit)
+    return RestorationInstance(network, tuple(demands[i] for i in broken)), broken
 
 
 def make_scenario(
@@ -330,117 +351,66 @@ def make_scenario(
 ) -> Scenario:
     if kind not in ("first", "second"):
         raise GenerationError(f"unknown scenario kind {kind!r}")
-    eligible = loaded.eligible_links()
-    base_manifest = {
+    routed = {pd.demand.id: pd.main for pd in loaded.provisioned}
+    demands = {pd.demand.id: pd.demand for pd in loaded.provisioned}
+    eligible = _eligible(routed, demands)
+    dropped = {broken_link}
+    second = {}  # the second kind's Scenario fields, also in its manifest
+    if kind == "first" and broken_link not in eligible:
+        raise GenerationError(
+            f"link {broken_link} not eligible (needs a width>1 main); "
+            f"eligible links: {eligible}"
+        )
+    if kind == "second":  # break, re-provision the broken demands, break again
+        if first_break is None:
+            candidates = [l for l in eligible if l != broken_link]
+            if not candidates:
+                raise GenerationError("no eligible link available for the first break")
+            first_break = candidates[0]
+        if first_break == broken_link:
+            raise GenerationError("first and second break must differ")
+        if first_break not in eligible:
+            raise GenerationError(
+                f"first break {first_break} not eligible; eligible links: {eligible}"
+            )
+        # replacement phase: first-fit in demand order, falling back to the
+        # recorded recovery paths if the greedy pass gets stuck
+        cut = [pd for pd in loaded.provisioned if first_break in pd.main.link_ids()]
+        for pd in cut:
+            del routed[pd.demand.id]
+        post_break = _Router(loaded.topology)
+        post_break.free[post_break.link_index[first_break]] = False
+        for path in routed.values():
+            post_break.occupy_main(path)
+        policy = "first_fit"
+        for pd in cut:
+            d = pd.demand
+            path = post_break.first_fit(d.s, d.t, d.width, d.reach, post_break.free)
+            if path is None:
+                policy = "recorded_recovery"
+                routed.update((p.demand.id, p.recovery) for p in cut)
+                break
+            routed[d.id] = path
+            post_break.occupy_main(path)
+        dropped.add(first_break)
+        eligible2 = _eligible(routed, demands, {first_break})
+        if broken_link not in eligible2:
+            raise GenerationError(
+                f"link {broken_link} not eligible for the second break; "
+                f"eligible links: {eligible2}"
+            )
+        second = {"first_break": first_break, "replacement_policy": policy}
+
+    instance, broken = _break(loaded.topology, routed, demands, broken_link, dropped)
+    manifest = {
         "seed": loaded.seed,
         "modulation": loaded.modulation,
         "reach_km": loaded.reach_km,
         "width_schedule": list(loaded.width_schedule),
         "demands_provisioned": len(loaded.provisioned),
+        "kind": kind,
+        "broken_link": broken_link,
+        **second,
+        "broken_demands": broken,
     }
-
-    if kind == "first":
-        if broken_link not in eligible:
-            raise GenerationError(
-                f"link {broken_link} not eligible (needs a width>1 main); "
-                f"eligible links: {eligible}"
-            )
-        broken, surviving = _split_by_break(loaded.provisioned, broken_link)
-        network = _restrict_network(
-            loaded.topology,
-            (pd.main for pd in surviving),
-            drop_links={broken_link},
-        )
-        instance = RestorationInstance(
-            network, tuple(pd.demand for pd in broken)
-        )
-        manifest = dict(
-            base_manifest,
-            kind="first",
-            broken_link=broken_link,
-            broken_demands=[pd.demand.id for pd in broken],
-        )
-        return Scenario("first", broken_link, instance, manifest=manifest)
-
-    # second kind: break, re-provision the broken demands, then break again
-    if first_break is None:
-        candidates = [l for l in eligible if l != broken_link]
-        if not candidates:
-            raise GenerationError("no eligible link available for the first break")
-        first_break = candidates[0]
-    if first_break == broken_link:
-        raise GenerationError("first and second break must differ")
-    if first_break not in eligible:
-        raise GenerationError(
-            f"first break {first_break} not eligible; eligible links: {eligible}"
-        )
-
-    broken, surviving = _split_by_break(loaded.provisioned, first_break)
-    routed: dict = {pd.demand.id: pd.main for pd in surviving}
-    demands: dict = {pd.demand.id: pd.demand for pd in loaded.provisioned}
-
-    # replacement phase: first-fit in demand order, falling back to the
-    # recorded recovery paths if the greedy pass gets stuck
-    replacement_policy = "first_fit"
-    post_break = _Router(loaded.topology)
-    post_break.free[post_break.link_index[first_break]] = False
-    for path in routed.values():
-        post_break.occupy_main(path)
-    replacements: dict = {}
-    for pd in sorted(broken, key=lambda p: p.demand.id):
-        path = post_break.first_fit(
-            pd.demand.s, pd.demand.t, pd.demand.width, pd.demand.reach,
-            post_break.free,
-        )
-        if path is None:
-            replacement_policy = "recorded_recovery"
-            replacements = {pd.demand.id: pd.recovery for pd in broken}
-            break
-        replacements[pd.demand.id] = path
-        post_break.occupy_main(path)
-    routed.update(replacements)
-
-    eligible2 = sorted(
-        {
-            link_id
-            for d_id, path in routed.items()
-            if demands[d_id].width > 1
-            for link_id in path.link_ids()
-            if link_id != first_break
-        }
-    )
-    if broken_link not in eligible2:
-        raise GenerationError(
-            f"link {broken_link} not eligible for the second break; "
-            f"eligible links: {eligible2}"
-        )
-    broken2 = sorted(
-        d_id for d_id, path in routed.items() if broken_link in path.link_ids()
-    )
-    surviving_paths = [
-        path for d_id, path in routed.items() if d_id not in broken2
-    ]
-    network = _restrict_network(
-        loaded.topology,
-        surviving_paths,
-        drop_links={first_break, broken_link},
-    )
-    instance = RestorationInstance(
-        network, tuple(demands[d_id] for d_id in broken2)
-    )
-    manifest = dict(
-        base_manifest,
-        kind="second",
-        broken_link=broken_link,
-        first_break=first_break,
-        replacement_policy=replacement_policy,
-        broken_demands=broken2,
-    )
-    return Scenario(
-        "second",
-        broken_link,
-        instance,
-        first_break=first_break,
-        replacement_policy=replacement_policy,
-        manifest=manifest,
-    )
+    return Scenario(kind, broken_link, instance, manifest=manifest, **second)

@@ -421,6 +421,27 @@ class TestGenAndValidate:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_gen_refuses_kind_without_break(self, tmp_path, capsys, kind):
+        out_dir = tmp_path / "out"
+        assert main(
+            ["gen", "grid12", "--modulation", "qpsk", "--seed", "7",
+             "--out-dir", str(out_dir), "--kind", kind]
+        ) == 1
+        assert capsys.readouterr().err == "error: --kind needs --break\n"
+        assert not out_dir.exists()
+
+    def test_gen_break_without_kind_is_first_kind(self, tmp_path):
+        dirs = [tmp_path / "default", tmp_path / "first"]
+        for d, extra in zip(dirs, ([], ["--kind", "first"])):
+            assert main(
+                ["gen", "ring14", "--modulation", "qpsk", "--seed", "7",
+                 "--break", "1", "--out-dir", str(d), *extra]
+            ) == 0
+        for suffix in (".json", ".manifest.json"):
+            a, b = ((d / f"ring14-qpsk-s7-b1-first{suffix}").read_bytes() for d in dirs)
+            assert a == b
+
     def test_unknown_topology(self, tmp_path):
         assert main(
             ["gen", "usnet", "--modulation", "bpsk", "--out-dir", str(tmp_path)]

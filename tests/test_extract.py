@@ -134,7 +134,6 @@ def broken_assignments(model, instance, witness, assignment):
     (what changed, the changed assignment)."""
     columns = set(model.variables)
     demands = {d.id: d for d in instance.demands}
-    links = instance.network.links
     for d_id, path in sorted(witness.items()):
         d = demands[d_id]
         arcs = witness_arcs(path, d.s)
@@ -142,11 +141,13 @@ def broken_assignments(model, instance, witness, assignment):
         block = set(path.colors())
         changes = []
         for link, forward in arcs:
-            changes.append((f"drop d{d_id} l{link.id}", fv(d_id, link.id, forward, path.first_color), 0))
+            key = fv(d_id, link.id, forward, path.first_color)
+            changes.append((f"drop d{d_id} l{link.id}", key, 0))
             for c in range(1, instance.network.slot_count + 1):
                 if c not in block:
-                    changes.append((f"d{d_id} l{link.id} at c{c}", fv(d_id, link.id, forward, c), 1))
-        for link in links:
+                    key = fv(d_id, link.id, forward, c)
+                    changes.append((f"d{d_id} l{link.id} at c{c}", key, 1))
+        for link in instance.network.links:
             for forward in (True, False):
                 head = link.v if forward else link.u
                 tail = link.u if forward else link.v
