@@ -32,10 +32,15 @@ from .model import InputError
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",
     "variables", "constraints", "trim_seconds", "build_seconds",
-    "solve_seconds", "highs_seconds", "status", "objective",
+    "solve_seconds", "highs_seconds", "extract_seconds", "verify_seconds",
+    "status", "objective",
 ]
-# vary between reruns; highs_seconds is empty where no builtin solve ran
-TIMING_COLUMNS = ("trim_seconds", "build_seconds", "solve_seconds", "highs_seconds")
+# vary between reruns; a phase that did not run (no builtin solve, no
+# solution to extract, no extracted paths to verify) leaves its column empty
+TIMING_COLUMNS = (
+    "trim_seconds", "build_seconds", "solve_seconds", "highs_seconds",
+    "extract_seconds", "verify_seconds",
+)
 
 
 @dataclass
@@ -97,6 +102,8 @@ def run_cell(
         "build_seconds": timings.get("build_seconds", ""),
         "solve_seconds": timings.get("solve_seconds", ""),
         "highs_seconds": timings.get("highs_seconds", ""),
+        "extract_seconds": timings.get("extract_seconds", ""),
+        "verify_seconds": timings.get("verify_seconds", ""),
         "status": cli.reported_status(doc),
         "objective": "" if doc["objective"] is None else doc["objective"],
     }

@@ -166,12 +166,16 @@ def answer(
     result = None
     report = None
     if outcome.assignment is not None:
+        t0 = time.perf_counter()
         try:
             result = extract_paths(outcome.assignment, model, instance)
         except ExtractionError as exc:
             meta["extraction_error"] = str(exc)
-        else:
+        meta["timings"]["extract_seconds"] = round(time.perf_counter() - t0, 6)
+        if result is not None:
+            t0 = time.perf_counter()
             report = verify_solution(result.paths, instance)
+            meta["timings"]["verify_seconds"] = round(time.perf_counter() - t0, 6)
         meta["verified"] = report is not None and report.ok
     return solution_to_dict(outcome.status, objective, result, report, meta)
 

@@ -1,9 +1,10 @@
 """Turn a solver assignment back into routed paths and certify them.
 
-Extraction groups each demand's set flow columns by arc and walks them from
-the source. It accepts an assignment iff every routed demand's arcs form one
-simple s->t path, each arc carrying one contiguous block of `width` colors
-and nothing else; split flow, leftover components or a broken block raise
+Extraction groups each demand's set flow columns by arc, a window column
+standing for its whole block of colors, and walks them from the source. It
+accepts an assignment iff every routed demand's arcs form one simple s->t
+path, each arc carrying one contiguous block of `width` colors and nothing
+else; split flow, leftover components or a broken block raise
 ExtractionError - that indicates a model bug, not bad input. Verification
 re-checks every routed path against the original instance and reports all
 violations instead of raising; its per-path checks are
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .milp import FlowVar, MilpModel, SelectVar
+from .milp import MilpModel, SelectVar, WindowVar
 from .model import RestorationInstance, RoutedPath, path_violations, paths_intersect
 
 
@@ -40,12 +41,14 @@ def extract_paths(
 ) -> ExtractResult:
     """Reconstruct one RoutedPath per routed demand from a 0/1 assignment.
 
-    A demand's set flow columns are accepted iff they form one simple s->t
-    path whose every arc carries exactly the block [c, c + width), c being
-    the demand's lowest set color; in maxsubset an unselected demand must
-    have none. Anything else raises ExtractionError.
+    A window column counts as each color of its block. A demand's set flow
+    columns are accepted iff they form one simple s->t path whose every arc
+    carries exactly the block [c, c + width), c being the demand's lowest
+    set color; in maxsubset an unselected demand must have none. Anything
+    else raises ExtractionError.
     """
     net = instance.network
+    width = {d.id: d.width for d in instance.demands}
     flows: dict = {}  # demand id -> (link id, forward) -> colors
     selected = set()
     for key, value in assignment.items():
@@ -53,9 +56,13 @@ def extract_paths(
             continue
         if isinstance(key, SelectVar):
             selected.add(key.demand)
-        elif isinstance(key, FlowVar):
-            arcs = flows.setdefault(key.demand, {})
-            arcs.setdefault((key.link, key.forward), set()).add(key.color)
+            continue
+        if isinstance(key, WindowVar):
+            colors = range(key.first, key.first + width[key.demand])
+        else:
+            colors = (key.color,)
+        arcs = flows.setdefault(key.demand, {})
+        arcs.setdefault((key.link, key.forward), set()).update(colors)
 
     maxsubset = model.mode == "maxsubset"
     paths: dict = {}

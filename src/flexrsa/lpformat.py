@@ -5,6 +5,7 @@ Bounds / Binary / End) with one named row per constraint; each variable key
 gets a distinct name:
 
     x_d<demand>_l<link>_<f|b>_c<color>   flow on a directed link and color
+    z_d<demand>_l<link>_<f|b>_w<first>   window on a directed link
     y_d<demand>                          maxsubset selector
 
 The writer prints a model's arrays (column keys, objective vector, bounds and
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .milp import FlowVar, MilpModel, Rows, SelectVar, row_relation
+from .milp import FlowVar, MilpModel, Rows, SelectVar, WindowVar, row_relation
 
 MAX_LINE = 200
 
@@ -31,6 +32,9 @@ def var_name(key) -> str:
     if isinstance(key, FlowVar):
         d = "f" if key.forward else "b"
         return f"x_d{key.demand}_l{key.link}_{d}_c{key.color}"
+    if isinstance(key, WindowVar):
+        d = "f" if key.forward else "b"
+        return f"z_d{key.demand}_l{key.link}_{d}_w{key.first}"
     if isinstance(key, SelectVar):
         return f"y_d{key.demand}"
     raise TypeError(f"unknown variable key {key!r}")

@@ -1,6 +1,7 @@
 """MILP construction for the generalized routing-and-spectrum problem.
 
-Three variants over binary flow variables x[demand, directed link, color]:
+Three variants. ``base`` and ``notrim`` are the paper's formulation, binary
+flow variables x[demand, directed link, color] (`FlowVar`):
 
 * ``base``    - a variable for every color in {1..C}; variables on occupied
   colors (``~OpticalNetwork.free``) are fixed to 0; contiguity uses the
@@ -9,18 +10,23 @@ Three variants over binary flow variables x[demand, directed link, color]:
 * ``notrim``  - variables only for free colors (c in C_l), full constraints,
   first-color candidates derived from C_l alone (`trimming.free_windows` over
   ``OpticalNetwork.free``).
-* ``trimmed`` - per arc (one direction of a link), variables only for the
-  colors in the windows of its first colors from trimming
-  (`UsefulTripleSet.arc_first_colors`), and contiguity rows over those first
-  colors; full constraints over the columns that exist, a missing column
-  counting as zero. Trimming keeps an arc at a first color whenever some
-  simple s-t path within reach in that color's range graph traverses it, and
-  a certified answer routes each demand on one simple path, so status and
-  optimum are those of ``notrim``.
 
-Modes: ``feasibility`` routes every demand (source out-flow = width);
-``maxsubset`` adds selector variables y[d] and maximizes how many demands are
-routed by rewarding each selected demand more than any flow could cost.
+``trimmed`` has one binary z[demand, directed link, first color]
+(`WindowVar`) per first color that trimming keeps on the arc
+(`UsefulTripleSet.arc_first_colors`): the whole block [first, first + width),
+costing width slots. Windows are contiguous by construction, so there are no
+contiguity rows (over trimmed first colors, which can have gaps, they would
+cut off windows). Flow is conserved per first color, one window leaves the
+source, the reach row is sum(length * z) <= reach, and a unicolor row holds
+every window over its (link, color). Trimming keeps an arc at a first color
+whenever some simple s-t path within reach in that color's range graph
+traverses it, and a certified answer is one simple path in one window per
+demand, so status and optimum are those of ``notrim``.
+
+Modes: ``feasibility`` routes every demand (source out-flow = width, or one
+window); ``maxsubset`` adds selector variables y[d] and maximizes how many
+demands are routed by rewarding each selected demand more than any flow could
+cost.
 
 The builder is a pure function that writes the solver matrix directly: the
 column keys, an objective vector, column upper bounds, one CSR row matrix with
@@ -61,11 +67,20 @@ class FlowVar(NamedTuple):
     color: int
 
 
+class WindowVar(NamedTuple):
+    """The block [first, first + width) of a demand on one directed link."""
+
+    demand: int
+    link: int
+    forward: bool
+    first: int
+
+
 class SelectVar(NamedTuple):
     demand: int
 
 
-VariableKey = Union[FlowVar, SelectVar]
+VariableKey = Union[FlowVar, WindowVar, SelectVar]
 
 
 def row_family(name: str) -> str:
@@ -219,7 +234,8 @@ def model_statistics(model: MilpModel) -> ModelStatistics:
 
 def _variant_arcs(instance, triples, variant):
     """Per (demand id, link id): for its forward and then its backward arc,
-    (variable colors ascending, first-color candidates)."""
+    (column colors ascending, first-color candidates); a window's color is
+    its first color."""
     net = instance.network
     all_colors = list(range(1, net.slot_count + 1))
     all_set = frozenset(all_colors)
@@ -233,13 +249,12 @@ def _variant_arcs(instance, triples, variant):
     arcs: dict = {}
     for d in instance.demands:
         for e, l in enumerate(net.links):
-            if variant == "trimmed":  # each arc the windows of its first colors
-                pair = []
-                for forward in (True, False):
-                    firsts = triples.arc_first_colors.get((d.id, l.id, forward), frozenset())
-                    colors = {cc for c in firsts for cc in range(c, c + d.width)}
-                    pair.append((sorted(colors), firsts))
-                arcs[(d.id, l.id)] = tuple(pair)
+            if variant == "trimmed":
+                firsts = triples.arc_first_colors
+                arcs[(d.id, l.id)] = tuple(
+                    (sorted(firsts.get((d.id, l.id, fwd), ())), None)
+                    for fwd in (True, False)
+                )
             else:
                 both = (
                     (all_colors, all_set) if variant == "base"
@@ -294,11 +309,17 @@ def build_model(
     demands = sorted(instance.demands, key=lambda d: d.id)
     links = net.links  # already sorted by id
     arcs = _variant_arcs(instance, triples, variant)
+    # colors per column: a window covers the demand's width and carries it
+    # once; a flow column covers one color and carries a width-th of it
+    windows = variant == "trimmed"
+    key = WindowVar if windows else FlowVar
+    span = {d.id: d.width if windows else 1 for d in demands}
 
     # columns: blocks[di][li] = its forward and its backward arc, each
     # (first column, colors, first colors); the backward arc's columns
-    # follow the forward arc's
+    # follow the forward arc's. A column covers its color, or its window.
     variables: list = []
+    cost: list = []
     blocks: list = []
     fixed: list = []
     big_m = 1  # exceeds any flow's cost: a slot carries at most one demand
@@ -308,10 +329,12 @@ def build_model(
             pair = []
             for fwd, (colors, firsts) in zip((True, False), arcs[(d.id, l.id)]):
                 pair.append((len(variables), colors, firsts))
-                variables.extend(FlowVar(d.id, l.id, fwd, c) for c in colors)
-            (f_start, f_colors, _), (b_start, b_colors, _) = pair
-            big_m += len({*f_colors, *b_colors})
+                variables.extend(key(d.id, l.id, fwd, c) for c in colors)
+                cost += [span[d.id]] * len(colors)
+            covered = {c + i for _, cs, _ in pair for c in cs for i in range(span[d.id])}
+            big_m += len(covered)
             if variant == "base":  # colors 1..C: column k is color k + 1
+                f_start, b_start = pair[0][0], pair[1][0]
                 for k in np.flatnonzero(~net.free[li]).tolist():
                     fixed += (f_start + k, b_start + k)
             per_link.append(pair)
@@ -322,8 +345,10 @@ def build_model(
 
     rows = Rows()
 
-    # flow conservation at inner nodes, per demand and color; the source's
-    # columns are gathered on the way for the source rows
+    # flow conservation at inner nodes, per demand and color (first color of
+    # a window); the source's columns are gathered on the way for the source
+    # rows
+    tag = "w" if windows else "c"
     source: list = []
     uni: list = [{} for _ in links]  # link index -> color -> columns
     for d, per_link in zip(demands, blocks):
@@ -333,7 +358,8 @@ def build_model(
             for side, (start, colors, _) in enumerate(pair):
                 for k, c in enumerate(colors):
                     on_color[c].setdefault(li, [None, None])[side] = start + k
-                    by_color.setdefault(c, []).append(start + k)
+                    for cc in range(c, c + span[d.id]):
+                        by_color.setdefault(cc, []).append(start + k)
         s, t = net.node_index[d.s], net.node_index[d.t]
         out_all, in_all = [], []
         for c in range(1, slots + 1):
@@ -349,26 +375,29 @@ def build_model(
             for node in sorted(inner):
                 out, inn = _out_in(net, node, on)
                 rows.add(
-                    f"flow_d{d.id}_c{c}_n{node}",
+                    f"flow_d{d.id}_{tag}{c}_n{node}",
                     out + inn, [1] * len(out) + [-1] * len(inn), "=", 0,
                 )
         source.append((out_all, in_all))
 
-    # source constraints: out-flow equals width (or width * y), in-flow zero
+    # source constraints: out-flow equals width (or width * y) in colors,
+    # that is one window (or y); in-flow zero
     for di, (d, (out_all, in_all)) in enumerate(zip(demands, source)):
+        units = d.width // span[d.id]
         ones = [1] * len(out_all)
         if mode == "maxsubset":
             rows.add(
-                f"srcout_d{d.id}", out_all + [n_flow + di], ones + [-d.width], "=", 0
+                f"srcout_d{d.id}", out_all + [n_flow + di], ones + [-units], "=", 0
             )
         else:
             # kept even with no terms: a demand without any variable at its
             # source makes the model infeasible, and the row records why
-            rows.add(f"srcout_d{d.id}", out_all, ones, "=", d.width)
+            rows.add(f"srcout_d{d.id}", out_all, ones, "=", units)
         if in_all:
             rows.add(f"srcin_d{d.id}", in_all, [1] * len(in_all), "=", 0)
 
-    # reachability: occupied length is at most reach * width
+    # reachability: occupied length is at most reach * width in colors, that
+    # is reach in windows
     for d, per_link in zip(demands, blocks):
         terms, vals = [], []
         for l, ((start, f_colors, _), (_, b_colors, _)) in zip(links, per_link):
@@ -378,7 +407,8 @@ def build_model(
             terms += range(start, start + n)
             vals += [l.length] * n
         if terms:
-            rows.add(f"reach_d{d.id}", terms, vals, "<=", d.reach * d.width)
+            units = d.width // span[d.id]
+            rows.add(f"reach_d{d.id}", terms, vals, "<=", d.reach * units)
 
     # unicolor: a (link, color) slot carries at most one demand, one direction
     for l, by_color in zip(links, uni):
@@ -387,10 +417,11 @@ def build_model(
             rows.add(f"uni_l{l.id}_c{c}", terms, [1] * len(terms), "<=", 1)
 
     # contiguity families, per arc over its own colors (a missing column
-    # counts as zero); identically true for width-1 demands, so skipped
+    # counts as zero); identically true for width-1 demands, so skipped, and
+    # windows need none
     for d, per_link in zip(demands, blocks):
         w = d.width
-        if w == 1:
+        if w == 1 or windows:
             continue
         for l, pair in zip(links, per_link):
             for (base, colors, firsts), dir_tag in zip(pair, "fb"):
@@ -420,7 +451,7 @@ def build_model(
 
     n = len(variables)
     c_vec = np.zeros(n)
-    c_vec[:n_flow] = 1
+    c_vec[:n_flow] = cost
     c_vec[n_flow:] = -big_m
     ub = np.ones(n)
     ub[fixed] = 0.0

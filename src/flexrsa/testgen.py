@@ -351,6 +351,11 @@ def make_scenario(
 ) -> Scenario:
     if kind not in ("first", "second"):
         raise GenerationError(f"unknown scenario kind {kind!r}")
+    if kind == "first" and first_break is not None:
+        raise GenerationError(
+            f"first break {first_break} given for a first-kind scenario; "
+            "only the second kind has one"
+        )
     routed = {pd.demand.id: pd.main for pd in loaded.provisioned}
     demands = {pd.demand.id: pd.demand for pd in loaded.provisioned}
     eligible = _eligible(routed, demands)

@@ -69,6 +69,22 @@ def two_route_reach():
     return RestorationInstance(net, (Demand(1, "a", "c", 1, 0.3),))
 
 
+@pytest.fixture
+def cut_off_window():
+    """One width-3 demand a->c over a-b-c (free b-c: colors 1-3) or a-b-d-c
+    (free b-d, d-c: colors 3-5). Trimming keeps arc a->b at first colors
+    {1, 3}, with a gap at 2; the optimum is a-b-c at color 1, 6 slots."""
+    links = [
+        Link(1, "a", "b", 1.0),
+        Link(2, "b", "c", 1.0),
+        Link(3, "b", "d", 1.0),
+        Link(4, "d", "c", 1.0),
+    ]
+    free = {1: [1, 2, 3, 4, 5], 2: [1, 2, 3], 3: [3, 4, 5], 4: [3, 4, 5]}
+    net = make_network(list("abcd"), links, free, 5)
+    return RestorationInstance(net, (Demand(1, "a", "c", 3, 10.0),))
+
+
 def corpus_instances(count=200, base_seed=1000):
     from flexrsa.oracle import random_instance
 

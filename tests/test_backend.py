@@ -163,21 +163,22 @@ def highs_input_digest(arrays) -> str:
 class TestHighsInputGolden:
     """HiGHS input of the two benchmark-corpus scenarios of test_testgen's
     TestGolden. Reordering rows or columns moves HiGHS time on the same
-    instance (by -25% to +10% on ring14), so it must fail here. The notrim
-    and base cases lock the free-color and full-spectrum models too."""
+    instance (by -25% to +10% on ring14), so it must fail here. The trimmed
+    cases lock the window model; the notrim and base cases lock the
+    free-color and full-spectrum flow models."""
 
     @pytest.mark.parametrize(
         "topology, modulation, broken, kind, first_break, variant, mode, highs, lp",
         [
             ("ring14", "qpsk", 1, "first", None, "trimmed", "feasibility",
-             "6ca1974c2138c9d1bcfff29e4c790a908f1bac06c573c243b6c68facfa78a8d1",
-             "1fd985874e039ea3f5de65a972911e17bec6872c7ed9ad8ed7fc9dd5b072a641"),
+             "e1addfc983eb858706b7aa0b6b03934b1cda829303f31d6a8f189ed9e9910e1d",
+             "6cb98d84530863a3573f49d4190618f80cc80ceeadd49271f9040dc869208401"),
             ("grid12", "8qam", 12, "second", 7, "trimmed", "feasibility",
-             "0239ac1a790d62338daeba23c94183f0c363280b005b5ff0280d9f96ad510f42",
-             "d7b2074bca5442f34d55fc228f888128514c0c03bdc12b6fe90fffbdfb2dcce5"),
+             "0efc9af49f386ccff8d2c8174f26466b269ee938292315047f3915d31e8c480f",
+             "3777075065be73e9a0b8ef1173b141552c46f44d5b0f2542f4d2c5e993288035"),
             ("grid12", "8qam", 12, "second", 7, "trimmed", "maxsubset",
-             "7fc6bf8ec34ef9352a0fd946466d5b95bbdd7cf3e2d55209cd76dc0272a28692",
-             "7e8952ff439633e65b272d74128681be4f0434ae8a2c0edc2d9f0e20bca28f82"),
+             "c0d29fc9d11de906c3bbd78c82cf9488aea2354d3b63e819ad2b6125cd5e898f",
+             "6da525e3f637a83114c4bdf00a8f04de664bea38be7ac7d0c8a4a21f6f5f4cee"),
             ("grid12", "8qam", 12, "second", 7, "notrim", "feasibility",
              "5ce3e2daea40ac1180741c49f83ad39c09d34c6d6f67e75fe8d5b53e48be1a87",
              "8a00cb0809a180b6283cfa9e930e9ba3d6a1c8c2839743a28e97d2a79a694140"),
@@ -242,8 +243,8 @@ class TestCannedOutcomes:
         model = trimmed(t1)
         body = (
             "Stopped on time limit - objective value 2\n"
-            "0 x_d1_l1_f_c1 1 0\n"
-            "1 x_d1_l2_f_c1 1 0\n"
+            "0 z_d1_l1_f_w1 1 0\n"
+            "1 z_d1_l2_f_w1 1 0\n"
         )
         out = solve(model, SolverConfig(solver=canned_solver(tmp_path, body), time_limit=5))
         assert out.status == TIMELIMIT
@@ -264,7 +265,7 @@ class TestCannedOutcomes:
 
     def test_fractional_binary_is_hard_error(self, t1, tmp_path):
         model = trimmed(t1)
-        body = "Optimal - objective value 2\n0 x_d1_l1_f_c1 0.5 0\n"
+        body = "Optimal - objective value 2\n0 z_d1_l1_f_w1 0.5 0\n"
         out = solve(model, SolverConfig(solver=canned_solver(tmp_path, body), time_limit=5))
         assert out.status == ERROR
         assert "non-integral" in out.message
@@ -354,7 +355,7 @@ class TestWorkdirHandling:
         assert out.status == OPTIMAL
         assert sorted(os.listdir(tmp_path / "w")) == ["model.lp", "solver.log"]
         # a subprocess solver also leaves its solution file
-        body = "Optimal - objective value 2\n0 x_d1_l1_f_c1 1 0\n1 x_d1_l2_f_c1 1 0\n"
+        body = "Optimal - objective value 2\n0 z_d1_l1_f_w1 1 0\n1 z_d1_l2_f_w1 1 0\n"
         cfg = SolverConfig(
             solver=canned_solver(tmp_path, body), time_limit=30,
             workdir=str(tmp_path / "c"), keep_files=True,
@@ -377,7 +378,7 @@ class TestWorkdirHandling:
         assert not (tmp_path / "w").exists()  # the builtin solver wrote nothing
         # a subprocess solver removes the temp directory it made
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        body = "Optimal - objective value 2\n0 x_d1_l1_f_c1 1 0\n1 x_d1_l2_f_c1 1 0\n"
+        body = "Optimal - objective value 2\n0 z_d1_l1_f_w1 1 0\n1 z_d1_l2_f_w1 1 0\n"
         cfg = SolverConfig(solver=canned_solver(tmp_path, body), time_limit=30)
         out = solve(trimmed(t1), cfg)
         assert out.status == OPTIMAL

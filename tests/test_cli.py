@@ -92,6 +92,10 @@ class TestSolve:
         assert doc["meta"]["verified"] is True
         assert doc["meta"]["solver_invoked"] is True
         assert doc["meta"]["model"]["variables"] == 4  # the forward arcs of links 1, 2
+        assert sorted(doc["meta"]["timings"]) == [
+            "build_seconds", "extract_seconds", "highs_seconds", "solve_seconds",
+            "trim_seconds", "verify_seconds",
+        ]
 
     def test_highs_seconds_and_solver_stats_only_for_builtin(self, t1_file, tmp_path):
         out = tmp_path / "sol.json"
@@ -107,8 +111,8 @@ class TestSolve:
         solver = canned_solver(
             tmp_path,
             "Optimal - objective value 2\n"
-            "      0 x_d1_l1_f_c1 1 0\n"
-            "      1 x_d1_l2_f_c1 1 0\n",
+            "      0 z_d1_l1_f_w1 1 0\n"
+            "      1 z_d1_l2_f_w1 1 0\n",
         )
         assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 0
         meta = read_json(out)["meta"]
@@ -189,6 +193,8 @@ class TestSolve:
         assert doc["paths"] == []
         assert doc["meta"]["verified"] is False
         assert doc["meta"]["extraction_error"] == "demand 1: no flow assigned"
+        assert "extract_seconds" in doc["meta"]["timings"]
+        assert "verify_seconds" not in doc["meta"]["timings"]  # nothing to verify
 
     def test_t3_exit_ten(self, t3_file, tmp_path):
         out = tmp_path / "sol.json"
@@ -471,7 +477,7 @@ class TestBench:
         assert lines[0] == (
             "case,kind,modulation,broken_link,variant,solver,variables,"
             "constraints,trim_seconds,build_seconds,solve_seconds,highs_seconds,"
-            "status,objective"
+            "extract_seconds,verify_seconds,status,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
         rows = read_csv_rows(csv_path)
@@ -498,7 +504,9 @@ class TestBench:
         rows = {r["case"]: r for r in read_csv_rows(csv_path)}
         assert rows["trimmed_away"]["status"] == "infeasible"
         assert rows["trimmed_away"]["variables"] == rows["trimmed_away"]["solve_seconds"] == ""
-        assert rows["trimmed_away"]["highs_seconds"] == ""  # no solve ran
+        for column in ("highs_seconds", "extract_seconds", "verify_seconds"):
+            assert rows["trimmed_away"][column] == ""  # no solve ran
+            assert float(rows["solved"][column]) >= 0
         assert 0 < float(rows["solved"]["highs_seconds"]) <= float(rows["solved"]["solve_seconds"])
         table = [l for l in md_path.read_text().splitlines() if l.startswith("| ")]
         assert len(table) == 4  # two tables, each a header and one group

@@ -7,7 +7,7 @@ from flexrsa.extract import (
     solution_to_dict,
     verify_solution,
 )
-from flexrsa.milp import FlowVar, SelectVar, build_model
+from flexrsa.milp import FlowVar, SelectVar, WindowVar, build_model
 from flexrsa.model import RestorationInstance, RoutedPath
 from flexrsa.oracle import oracle_solve
 from flexrsa.trimming import compute_useful_triples
@@ -64,8 +64,10 @@ def fv(d, l, fwd, c):
 
 
 class TestExtractionErrors:
+    """Flow models (`notrim`) for per-color faults; windows at the end."""
+
     def test_split_flow_at_source(self, t1):
-        model = build_model(t1, compute_useful_triples(t1), "trimmed")
+        model = build_model(t1, None, "notrim")
         bad = {v: 0 for v in model.variables}
         bad[fv(1, 1, True, 1)] = 1  # forward on link 1 at color 1
         bad[fv(1, 1, True, 2)] = 1  # and again at color 2: two source links? no,
@@ -76,7 +78,7 @@ class TestExtractionErrors:
 
     def test_cycle_component_detected(self, t4):
         # legit path at colors 1-2 plus a bogus extra occupation at color 4
-        model = build_model(t4, compute_useful_triples(t4), "trimmed")
+        model = build_model(t4, None, "notrim")
         bad = {v: 0 for v in model.variables}
         for link in (1, 2):
             for c in (1, 2):
@@ -86,7 +88,7 @@ class TestExtractionErrors:
             extract_paths(bad, model, t4)
 
     def test_unselected_demand_with_flow(self, t3):
-        model = build_model(t3, compute_useful_triples(t3), "trimmed", "maxsubset")
+        model = build_model(t3, None, "notrim", "maxsubset")
         bad = {v: 0 for v in model.variables}
         bad[SelectVar(1)] = 1
         bad[fv(1, 1, True, 1)] = 1
@@ -95,12 +97,24 @@ class TestExtractionErrors:
             extract_paths(bad, model, t3)
 
     def test_broken_color_block(self, t4):
-        model = build_model(t4, compute_useful_triples(t4), "trimmed")
+        model = build_model(t4, None, "notrim")
         bad = {v: 0 for v in model.variables}
         for link in (1, 2):
             bad[fv(4, link, True, 1)] = 1
             bad[fv(4, link, True, 3)] = 1  # gap at color 2
         with pytest.raises(ExtractionError, match="contiguous|block"):
+            extract_paths(bad, model, t4)
+
+    @pytest.mark.parametrize("windows", [
+        [(1, 1), (1, 2), (2, 1)],  # two overlapping windows on link 1
+        [(1, 1), (2, 3)],  # the links carry different windows
+    ], ids=["overlap", "mismatch"])
+    def test_window_blocks(self, t4, windows):
+        model = build_model(t4, compute_useful_triples(t4), "trimmed")
+        bad = {v: 0 for v in model.variables}
+        for link, first in windows:
+            bad[WindowVar(4, link, True, first)] = 1
+        with pytest.raises(ExtractionError, match="contiguous block"):
             extract_paths(bad, model, t4)
 
 
@@ -114,6 +128,19 @@ def witness_arcs(path, s):
     return arcs
 
 
+def column(model, d_id, link_id, forward, color):
+    """A demand's column on an arc at a color: its flow column, or in a
+    window model the window that starts there."""
+    key = WindowVar if model.variant == "trimmed" else FlowVar
+    return key(d_id, link_id, forward, color)
+
+
+def starts(model, path):
+    """The colors at which a path's columns start: its one window, or each
+    color of its block."""
+    return (path.first_color,) if model.variant == "trimmed" else path.colors()
+
+
 def witness_assignment(model, instance, witness):
     """The model's columns set to 1 exactly where the witness routes flow,
     with every routed demand selected in maxsubset."""
@@ -123,8 +150,8 @@ def witness_assignment(model, instance, witness):
         if model.mode == "maxsubset":
             assignment[SelectVar(d_id)] = 1
         for link, forward in witness_arcs(path, demands[d_id].s):
-            for c in path.colors():
-                assignment[fv(d_id, link.id, forward, c)] = 1
+            for c in starts(model, path):
+                assignment[column(model, d_id, link.id, forward, c)] = 1
     assert set(assignment) == set(model.variables)  # the witness has columns
     return assignment
 
@@ -138,20 +165,20 @@ def broken_assignments(model, instance, witness, assignment):
         d = demands[d_id]
         arcs = witness_arcs(path, d.s)
         on_path = {d.s, d.t} | {n for link in path.links for n in (link.u, link.v)}
-        block = set(path.colors())
+        set_at = set(starts(model, path))
         changes = []
         for link, forward in arcs:
-            key = fv(d_id, link.id, forward, path.first_color)
+            key = column(model, d_id, link.id, forward, path.first_color)
             changes.append((f"drop d{d_id} l{link.id}", key, 0))
             for c in range(1, instance.network.slot_count + 1):
-                if c not in block:
-                    key = fv(d_id, link.id, forward, c)
+                if c not in set_at:
+                    key = column(model, d_id, link.id, forward, c)
                     changes.append((f"d{d_id} l{link.id} at c{c}", key, 1))
         for link in instance.network.links:
             for forward in (True, False):
                 head = link.v if forward else link.u
                 tail = link.u if forward else link.v
-                key = fv(d_id, link.id, forward, path.first_color)
+                key = column(model, d_id, link.id, forward, path.first_color)
                 if head == d.s:
                     changes.append((f"d{d_id} l{link.id} enters the source", key, 1))
                 elif tail not in on_path and head not in on_path:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flexrsa.lpformat import emit_lp_text, parse_lp_text, var_name
-from flexrsa.milp import FlowVar, SelectVar, build_model
+from flexrsa.milp import FlowVar, SelectVar, WindowVar, build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.trimming import compute_useful_triples
 
@@ -25,7 +25,8 @@ def roundtrip_matches(model):
 class TestVariableNames:
     def test_injective(self):
         keys = [FlowVar(1, 11, True, 1), FlowVar(11, 1, True, 1), FlowVar(1, 1, True, 11),
-                FlowVar(1, 1, False, 11), SelectVar(1), SelectVar(11)]
+                FlowVar(1, 1, False, 11), WindowVar(1, 1, True, 11),
+                WindowVar(1, 1, False, 11), SelectVar(1), SelectVar(11)]
         assert len({var_name(key) for key in keys}) == len(keys)
 
 
@@ -46,7 +47,7 @@ class TestEmission:
     def test_t1_trimmed_document(self, t1):
         model = build_model(t1, compute_useful_triples(t1), "trimmed")
         text = roundtrip_matches(model)
-        assert text.count("x_d1_l1_f_c1") >= 2  # objective + rows + binary
+        assert text.count("z_d1_l1_f_w1") >= 2  # objective + rows + binary
         assert "uni_l3" not in text
 
     def test_unroutable_source_row_uses_zero_placeholder(self, t1_low_reach):

@@ -5,6 +5,7 @@ from flexrsa.milp import (
     FlowVar,
     Rows,
     SelectVar,
+    WindowVar,
     build_model,
     model_statistics,
     row_family,
@@ -18,14 +19,24 @@ def trimmed(inst, mode="feasibility"):
 
 
 class TestVariableSets:
-    def test_t1_trimmed_has_four_flow_vars(self, t1):
+    def test_t1_trimmed_has_four_windows(self, t1):
         # only the forward arcs 1 -> 2 -> 3 lie on a simple path within reach
         model = trimmed(t1)
         assert model_statistics(model).variables == 4
         assert model.variables == (
-            FlowVar(1, 1, True, 1), FlowVar(1, 1, True, 2),
-            FlowVar(1, 2, True, 1), FlowVar(1, 2, True, 2),
+            WindowVar(1, 1, True, 1), WindowVar(1, 1, True, 2),
+            WindowVar(1, 2, True, 1), WindowVar(1, 2, True, 2),
         )
+        assert all(type(key) is WindowVar for key in model.variables)
+
+    def test_t4_trimmed_has_one_window_per_first_color(self, t4):
+        # width 2 on 4 free colors: first colors 1..3 on both forward arcs,
+        # each window costing its 2 slots
+        model = trimmed(t4)
+        assert model.variables == tuple(
+            WindowVar(4, link, True, first) for link in (1, 2) for first in (1, 2, 3)
+        )
+        assert model.c.tolist() == [2.0] * 6
 
     def test_t1_base_has_twelve(self, t1):
         model = build_model(t1, None, "base")
@@ -35,7 +46,7 @@ class TestVariableSets:
         # both demands run 1 -> 2: the backward arc would enter the source
         model = trimmed(t3)
         assert model_statistics(model).variables == 2
-        assert model.variables == (FlowVar(1, 1, True, 1), FlowVar(2, 1, True, 1))
+        assert model.variables == (WindowVar(1, 1, True, 1), WindowVar(2, 1, True, 1))
 
     def test_empty_demand_set(self, t1):
         inst = RestorationInstance(t1.network, ())
@@ -90,29 +101,47 @@ class TestConstraints:
         con = src["srcout_d1"]
         assert con.relation == "="
         assert con.rhs == 1
-        assert set(con.coeffs) == {FlowVar(1, 1, True, 1), FlowVar(1, 1, True, 2)}
+        assert set(con.coeffs) == {WindowVar(1, 1, True, 1), WindowVar(1, 1, True, 2)}
 
     def test_reach_constraint_coefficients(self, t1):
         model = trimmed(t1)
         (reach,) = [c for c in model.constraints if row_family(c.tag) == "reach"]
         assert reach.relation == "<="
-        assert reach.rhs == 2.0  # reach 2 x width 1
+        assert reach.rhs == 2.0  # reach 2: a window counts its link once
         assert all(coeff == 1.0 for coeff in reach.coeffs.values())
 
-    def test_contiguity_families_for_width_two(self, t4):
+    def test_windows_need_no_contiguity_rows(self, t4):
         model = trimmed(t4)
+        fams = {row_family(c.tag) for c in model.constraints}
+        assert fams == {"flow", "srcout", "reach", "uni"}
+        rows = {c.tag: c for c in model.constraints}
+        # a unicolor row holds every window over its color
+        assert set(rows["uni_l1_c2"].coeffs) == {
+            WindowVar(4, 1, True, 1), WindowVar(4, 1, True, 2)
+        }
+        assert set(rows["uni_l1_c4"].coeffs) == {WindowVar(4, 1, True, 3)}
+        assert rows["reach_d4"].rhs == 5.0  # the reach, not reach x width
+        assert rows["srcout_d4"].rhs == 1  # one window leaves the source
+        # flow is conserved per first color at the inner node
+        assert sorted(t for t in rows if t.startswith("flow")) == [
+            "flow_d4_w1_n1", "flow_d4_w2_n1", "flow_d4_w3_n1"
+        ]
+
+    def test_contiguity_families_for_width_two(self, t4):
+        model = build_model(t4, None, "notrim")
         fams = {row_family(c.tag) for c in model.constraints}
         assert {"ctgA", "ctgB", "ctgC"} <= fams
         ctg_c = [c for c in model.constraints if row_family(c.tag) == "ctgC"]
-        # color 4 is useful but never a first color: x4 <= x3 on the forward
-        # arc of both links, the only arcs kept
-        assert [c.tag for c in ctg_c] == ["ctgC_d4_l1f_c4", "ctgC_d4_l2f_c4"]
+        # color 4 is free but never a first color: x4 <= x3 on every arc
+        assert [c.tag for c in ctg_c] == [
+            "ctgC_d4_l1f_c4", "ctgC_d4_l1b_c4", "ctgC_d4_l2f_c4", "ctgC_d4_l2b_c4"
+        ]
         for con in ctg_c:
             assert con.relation == ">="
             assert sorted(con.coeffs.values()) == [-1, 1]
 
     def test_contiguity_skipped_for_width_one(self, t1):
-        model = trimmed(t1)
+        model = build_model(t1, None, "notrim")
         assert not any(row_family(c.tag).startswith("ctg") for c in model.constraints)
 
     def test_base_contiguity_only_window_and_bottom(self, t4):
@@ -143,7 +172,7 @@ class TestModes:
         assert -model.c.min() == 3
         cost = dict(zip(model.variables, model.c.tolist()))
         assert cost[SelectVar(1)] == -3
-        assert cost[FlowVar(1, 1, True, 1)] == 1
+        assert cost[WindowVar(1, 1, True, 1)] == 1
 
     def test_maxsubset_source_rows_reference_selector(self, t3):
         model = trimmed(t3, "maxsubset")

@@ -402,16 +402,6 @@ class TestScenarios:
         }
         assert verify_solution(witness, scenario.instance).ok
 
-    def test_ineligible_link_lists_eligible(self):
-        loaded = self.make_loaded()
-        ineligible = [
-            l.id for l in loaded.topology.links if l.id not in loaded.eligible_links()
-        ]
-        if not ineligible:
-            pytest.skip("every link is eligible for this seed")
-        with pytest.raises(GenerationError, match="eligible links"):
-            make_scenario(loaded, ineligible[0], "first")
-
     def test_second_kind(self):
         loaded = self.make_loaded()
         eligible = loaded.eligible_links()
@@ -430,6 +420,8 @@ class TestScenarios:
 
     @pytest.mark.parametrize("widths, broken, kind, first_break, message", [
         ((2, 1), 2, "third", None, "unknown scenario kind 'third'"),
+        ((2, 1), 2, "first", 99,
+         "first break 99 given for a first-kind scenario; only the second kind has one"),
         ((2, 1), 1, "first", None,
          "link 1 not eligible (needs a width>1 main); eligible links: [2, 4, 5]"),
         ((1,), 1, "second", None, "no eligible link available for the first break"),
@@ -437,7 +429,7 @@ class TestScenarios:
         ((2, 1), 2, "second", 1, "first break 1 not eligible; eligible links: [2, 4, 5]"),
         ((2, 1), 1, "second", 2,
          "link 1 not eligible for the second break; eligible links: [3, 4, 5, 6]"),
-    ], ids=["unknown-kind", "first-kind-ineligible", "no-first-break",
+    ], ids=["unknown-kind", "first-kind-first-break", "first-kind-ineligible", "no-first-break",
             "same-break", "ineligible-first-break", "ineligible-second-break"])
     def test_each_refusal_text(self, widths, broken, kind, first_break, message):
         loaded = generate_loaded_network(
