@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -31,15 +32,16 @@ from .model import InputError
 
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",
-    "variables", "constraints", "trim_seconds", "build_seconds",
+    "variables", "constraints", "load_seconds", "trim_seconds", "build_seconds",
     "solve_seconds", "highs_seconds", "extract_seconds", "verify_seconds",
     "status", "objective",
 ]
 # vary between reruns; a phase that did not run (no builtin solve, no
-# solution to extract, no extracted paths to verify) leaves its column empty
+# solution to extract, no extracted paths to verify) leaves its column empty.
+# A case is loaded once, and its load time goes on each of its rows.
 TIMING_COLUMNS = (
-    "trim_seconds", "build_seconds", "solve_seconds", "highs_seconds",
-    "extract_seconds", "verify_seconds",
+    "load_seconds", "trim_seconds", "build_seconds", "solve_seconds",
+    "highs_seconds", "extract_seconds", "verify_seconds",
 )
 
 
@@ -79,6 +81,7 @@ def discover_cases(corpus_dir: str) -> list:
 def run_cell(
     case: BenchCase,
     instance,
+    load_seconds: float,
     variant: str,
     solver: str,
     mode: str,
@@ -98,6 +101,7 @@ def run_cell(
         "solver": solver,
         "variables": model.get("variables", ""),
         "constraints": model.get("constraints", ""),
+        "load_seconds": round(load_seconds, 6),
         "trim_seconds": timings["trim_seconds"],
         "build_seconds": timings.get("build_seconds", ""),
         "solve_seconds": timings.get("solve_seconds", ""),
@@ -119,12 +123,14 @@ def run_bench(
 ) -> list:
     cells = []
     for case in discover_cases(corpus_dir):
+        t0 = time.perf_counter()
         try:
             instance = load_instance(case.path)
         except InputError as exc:
             print(f"bench: skipping {case.path}: {exc}", file=sys.stderr)
             continue
-        cells += [(case, instance, v, s) for v in variants for s in solvers]
+        load_seconds = time.perf_counter() - t0
+        cells += [(case, instance, load_seconds, v, s) for v in variants for s in solvers]
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         rows = list(
             pool.map(

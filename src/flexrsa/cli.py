@@ -189,7 +189,9 @@ def reported_status(doc: dict) -> str:
 
 
 def cmd_solve(args) -> int:
+    t0 = time.perf_counter()
     instance = load_instance(args.instance)
+    load_seconds = time.perf_counter() - t0
     config = SolverConfig(
         solver=args.solver,
         time_limit=args.time_limit,
@@ -197,7 +199,9 @@ def cmd_solve(args) -> int:
         keep_files=args.keep_files,
     )
     doc = answer(instance, args.variant, args.mode, config)
-    doc["meta"] = {"instance": args.instance, **doc["meta"]}
+    meta = doc["meta"]
+    meta["timings"] = {"load_seconds": round(load_seconds, 6), **meta["timings"]}
+    doc["meta"] = {"instance": args.instance, **meta}
     _emit(doc, args.output)
     return _EXIT_CODES.get(reported_status(doc), EXIT_ERROR)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .milp import MilpModel, SelectVar, WindowVar
+from .milp import FlowVar, MilpModel, SelectVar, WindowVar
 from .model import RestorationInstance, RoutedPath, path_violations, paths_intersect
 
 
@@ -41,7 +41,8 @@ def extract_paths(
 ) -> ExtractResult:
     """Reconstruct one RoutedPath per routed demand from a 0/1 assignment.
 
-    A window column counts as each color of its block. A demand's set flow
+    A window column counts as each color of its block; a set column of the
+    other kind than the model's raises ExtractionError. A demand's set
     columns are accepted iff they form one simple s->t path whose every arc
     carries exactly the block [c, c + width), c being the demand's lowest
     set color; in maxsubset an unselected demand must have none. Anything
@@ -49,6 +50,8 @@ def extract_paths(
     """
     net = instance.network
     width = {d.id: d.width for d in instance.demands}
+    windows = model.variant == "trimmed"
+    arc_key = WindowVar if windows else FlowVar
     flows: dict = {}  # demand id -> (link id, forward) -> colors
     selected = set()
     for key, value in assignment.items():
@@ -57,7 +60,11 @@ def extract_paths(
         if isinstance(key, SelectVar):
             selected.add(key.demand)
             continue
-        if isinstance(key, WindowVar):
+        if type(key) is not arc_key:
+            raise ExtractionError(
+                key.demand, f"{type(key).__name__} column in a {model.variant} model"
+            )
+        if windows:
             colors = range(key.first, key.first + width[key.demand])
         else:
             colors = (key.color,)

@@ -65,6 +65,7 @@ class FlowVar(NamedTuple):
     link: int
     forward: bool
     color: int
+    kind: str = "flow"  # so a flow key never equals the WindowVar of equal fields
 
 
 class WindowVar(NamedTuple):
@@ -74,6 +75,7 @@ class WindowVar(NamedTuple):
     link: int
     forward: bool
     first: int
+    kind: str = "window"
 
 
 class SelectVar(NamedTuple):
@@ -195,7 +197,7 @@ class ModelStatistics:
     variant: str
     mode: str
     variables: int
-    flow_variables: int
+    arc_variables: int  # flow or window columns: all but the selectors
     select_variables: int
     fixed_zero: int
     constraints: int
@@ -206,7 +208,7 @@ class ModelStatistics:
             "variant": self.variant,
             "mode": self.mode,
             "variables": self.variables,
-            "flow_variables": self.flow_variables,
+            "arc_variables": self.arc_variables,
             "select_variables": self.select_variables,
             "fixed_zero": self.fixed_zero,
             "constraints": self.constraints,
@@ -224,7 +226,7 @@ def model_statistics(model: MilpModel) -> ModelStatistics:
         variant=model.variant,
         mode=model.mode,
         variables=len(model.variables),
-        flow_variables=len(model.variables) - select,
+        arc_variables=len(model.variables) - select,
         select_variables=select,
         fixed_zero=int(np.count_nonzero(model.ub == 0)),
         constraints=len(model.row_names),

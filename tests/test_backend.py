@@ -1,14 +1,18 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
+import flexrsa
 from flexrsa.backend import (
     ERROR,
     INFEASIBLE,
@@ -21,7 +25,7 @@ from flexrsa.backend import (
     solve,
 )
 from flexrsa.io import load_instance, save_instance
-from flexrsa.lp_driver import solve_lp_file
+from flexrsa.lp_driver import solve_highs, solve_lp_file
 from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import build_model
 from flexrsa.model import RestorationInstance
@@ -133,14 +137,15 @@ class TestBuiltinSolver:
 
 
 def highs_input(model, monkeypatch):
-    """The arrays that the builtin solve hands to scipy's milp for the model."""
+    """The arrays and settings that the builtin solve hands to scipy's milp
+    for the model."""
     seen = {}
 
     def capture(c, constraints, integrality, bounds, options):
         (rows,) = constraints
         seen.update(
             c=c, indptr=rows.A.indptr, indices=rows.A.indices, data=rows.A.data,
-            lower=rows.lb, upper=rows.ub, ub=bounds.ub,
+            lower=rows.lb, upper=rows.ub, ub=bounds.ub, options=dict(options),
         )
         raise RuntimeError("captured")
 
@@ -211,6 +216,49 @@ class TestHighsInputGolden:
         model = build_model(inst, triples, variant, mode)
         assert highs_input_digest(highs_input(model, monkeypatch)) == highs
         assert hashlib.sha256(emit_lp_text(model).encode("utf-8")).hexdigest() == lp
+
+
+class TestHighsSettings:
+    def test_exact_settings(self, t1, monkeypatch):
+        # one fixed set for every solve; only the time limit comes from the config
+        assert highs_input(trimmed(t1), monkeypatch)["options"] == {
+            "disp": False,
+            "mip_rel_gap": 0.0,
+            "mip_heuristic_run_feasibility_jump": False,
+            "time_limit": 60.0,
+        }
+
+    def test_highs_knows_every_setting(self, t4):
+        # HiGHS warns (OptimizeWarning) about a key it does not know, and
+        # ignores it; as an error here it fails the solve
+        model = build_model(t4, None, "notrim")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizeWarning)
+            outcome = solve_highs(model.c, model.a, model.lower, model.upper, model.ub, 60.0)
+        assert (outcome.status, outcome.message) == (OPTIMAL, "")
+
+    def test_scipy_note_stays_silent_after_a_filter_reset(self, t4):
+        # scipy notes (RuntimeWarning) on every call that it passes the keys
+        # it does not know on verbatim; the solve silences it again after a
+        # test runner's reset drops every filter, its own included
+        model = build_model(t4, None, "notrim")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.resetwarnings()
+            solve_highs(model.c, model.a, model.lower, model.upper, model.ub, 60.0)
+        assert [str(w.message) for w in caught] == []
+
+    def test_cli_solve_writes_nothing_to_stderr(self, t1, tmp_path):
+        # a fresh interpreter, so no test runner's warning filters apply
+        save_instance(t1, str(tmp_path / "t1.json"))
+        src = os.path.dirname(os.path.dirname(flexrsa.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "flexrsa.cli", "solve", "t1.json", "--solver", "builtin",
+             "-o", "sol.json"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads((tmp_path / "sol.json").read_text())["objective"] == 2
 
 
 class TestSolverResolution:

@@ -92,9 +92,9 @@ class TestSolve:
         assert doc["meta"]["verified"] is True
         assert doc["meta"]["solver_invoked"] is True
         assert doc["meta"]["model"]["variables"] == 4  # the forward arcs of links 1, 2
-        assert sorted(doc["meta"]["timings"]) == [
-            "build_seconds", "extract_seconds", "highs_seconds", "solve_seconds",
-            "trim_seconds", "verify_seconds",
+        assert list(doc["meta"]["timings"]) == [
+            "load_seconds", "trim_seconds", "build_seconds", "solve_seconds",
+            "highs_seconds", "extract_seconds", "verify_seconds",
         ]
 
     def test_highs_seconds_and_solver_stats_only_for_builtin(self, t1_file, tmp_path):
@@ -476,14 +476,16 @@ class TestBench:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == (
             "case,kind,modulation,broken_link,variant,solver,variables,"
-            "constraints,trim_seconds,build_seconds,solve_seconds,highs_seconds,"
-            "extract_seconds,verify_seconds,status,objective"
+            "constraints,load_seconds,trim_seconds,build_seconds,solve_seconds,"
+            "highs_seconds,extract_seconds,verify_seconds,status,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
         rows = read_csv_rows(csv_path)
         t1_rows = [r for r in rows if r["case"] == "t1"]
         assert {r["status"] for r in t1_rows} == {"optimal"}
         assert {r["objective"] for r in t1_rows} == {"2"}
+        (load,) = {r["load_seconds"] for r in t1_rows}  # one load per case
+        assert float(load) > 0
         t3_rows = [r for r in rows if r["case"] == "t3"]
         assert {r["status"] for r in t3_rows} == {"infeasible"}
         md = md_path.read_text()
@@ -504,6 +506,7 @@ class TestBench:
         rows = {r["case"]: r for r in read_csv_rows(csv_path)}
         assert rows["trimmed_away"]["status"] == "infeasible"
         assert rows["trimmed_away"]["variables"] == rows["trimmed_away"]["solve_seconds"] == ""
+        assert float(rows["trimmed_away"]["load_seconds"]) > 0  # loaded all the same
         for column in ("highs_seconds", "extract_seconds", "verify_seconds"):
             assert rows["trimmed_away"][column] == ""  # no solve ran
             assert float(rows["solved"][column]) >= 0

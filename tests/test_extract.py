@@ -117,6 +117,18 @@ class TestExtractionErrors:
         with pytest.raises(ExtractionError, match="contiguous block"):
             extract_paths(bad, model, t4)
 
+    @pytest.mark.parametrize("variant, key", [
+        ("trimmed", FlowVar), ("notrim", WindowVar),
+    ], ids=["flow-in-windows", "window-in-flow"])
+    def test_column_of_the_other_kind(self, t1, variant, key):
+        # t1's route 1-2 at color 1, keyed by the kind the model does not have
+        model = build_model(t1, compute_useful_triples(t1), variant)
+        bad = {v: 0 for v in model.variables}
+        bad[key(1, 1, True, 1)] = 1
+        bad[key(1, 2, True, 1)] = 1
+        with pytest.raises(ExtractionError, match=f"{key.__name__} column in a {variant} model"):
+            extract_paths(bad, model, t1)
+
 
 def witness_arcs(path, s):
     """(link, forward) per link of a routed path, walked from s."""

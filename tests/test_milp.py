@@ -194,12 +194,23 @@ class TestModes:
             build_model(t1, None, "base", "decision")
 
 
+class TestColumnKeys:
+    def test_kinds_never_equal(self):
+        flow, window = FlowVar(1, 1, True, 1), WindowVar(1, 1, True, 1)
+        assert flow != window
+        assert not flow == window
+        assert len({flow, window}) == 2
+        assert {window: 1}.get(flow) is None
+
+
 class TestStatistics:
     def test_by_family_counts(self, t4):
         stats = model_statistics(trimmed(t4))
         assert stats.by_family["uni"] == 8  # 2 links x 4 colors
         assert stats.by_family["srcout"] == 1
-        assert stats.flow_variables == stats.variables
+        assert stats.arc_variables == stats.variables == 6  # windows, no selectors
+        maxsubset = model_statistics(trimmed(t4, "maxsubset"))
+        assert (maxsubset.arc_variables, maxsubset.select_variables) == (6, 1)
         assert stats.fixed_zero == 0
 
     def test_base_fixed_accounting(self, t2):
