@@ -74,12 +74,13 @@ class SolverConfig:
 class SolveOutcome:
     """Parsed solver result.
 
-    assignment maps every model variable to 0/1 for optimal and feasible
-    outcomes, and for time limits where the solver wrote an incumbent.
+    chosen: the ascending indices into `model.variables` of the columns set
+    to 1, for optimal and feasible outcomes and for time limits where the
+    solver wrote an incumbent; None when there is no solution.
     """
 
     status: str
-    assignment: Optional[dict]
+    chosen: Optional[np.ndarray]
     objective: Optional[float]
     wall_seconds: float
     solver_name: str
@@ -232,13 +233,13 @@ def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
                 INFEASIBLE, None, None, 0.0, "trivial",
                 message=f"unsatisfiable constraint {tag} with no variables",
             )
-    return SolveOutcome(OPTIMAL, {}, 0.0, 0.0, "trivial")
+    return SolveOutcome(OPTIMAL, np.empty(0, dtype=np.intp), 0.0, 0.0, "trivial")
 
 
 def _rounded(model: MilpModel, status: str, objective, values):
-    """(status, assignment, objective, message) from raw solver values, one
-    per column (None: no solution); the objective is recomputed."""
-    assignment = None
+    """(status, chosen, objective, message) from raw solver values, one per
+    column (None: no solution); the objective is recomputed."""
+    chosen = None
     if values is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
         x = np.asarray(values, dtype=np.float64)
         fractional = np.flatnonzero((x > 0.01) & (x < 0.99))
@@ -246,12 +247,11 @@ def _rounded(model: MilpModel, status: str, objective, values):
             j = fractional[0]
             key = model.variables[j]
             return ERROR, None, None, f"non-integral binary {var_name(key)}={values[j]}"
-        on = x >= 0.5
-        assignment = dict(zip(model.variables, on.astype(int).tolist()))
-        objective = int(model.c[on].sum())  # integer coefficients: exact
-    if status in (OPTIMAL, FEASIBLE) and assignment is None:
+        chosen = np.flatnonzero(x >= 0.5)
+        objective = int(model.c[chosen].sum())  # integer coefficients: exact
+    if status in (OPTIMAL, FEASIBLE) and chosen is None:
         status = ERROR
-    return status, assignment, objective, ""
+    return status, chosen, objective, ""
 
 
 def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
@@ -297,10 +297,10 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     except OSError:
         pass
 
-    def finish(status, assignment=None, objective=None, message="") -> SolveOutcome:
+    def finish(status, chosen=None, objective=None, message="") -> SolveOutcome:
         wall = time.perf_counter() - start
         outcome = SolveOutcome(
-            status, assignment, objective, wall, solver_name, message=message
+            status, chosen, objective, wall, solver_name, message=message
         )
         if owns_dir and outcome.status != ERROR and not config.keep_files:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -345,11 +345,11 @@ def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> Solv
     result = solve_highs(
         model.c, model.a, model.lower, model.upper, model.ub, config.time_limit
     )
-    status, assignment, objective, message = _rounded(
+    status, chosen, objective, message = _rounded(
         model, result.status, result.objective, result.values
     )
     outcome = SolveOutcome(
-        status, assignment, objective, time.perf_counter() - start, BUILTIN,
+        status, chosen, objective, time.perf_counter() - start, BUILTIN,
         message=message or result.message, highs_seconds=result.seconds,
         solver_stats=result.stats,
     )

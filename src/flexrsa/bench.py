@@ -30,12 +30,6 @@ from . import cli
 from .io import load_instance
 from .model import InputError
 
-CSV_COLUMNS = [
-    "case", "kind", "modulation", "broken_link", "variant", "solver",
-    "variables", "constraints", "load_seconds", "trim_seconds", "build_seconds",
-    "solve_seconds", "highs_seconds", "extract_seconds", "verify_seconds",
-    "status", "objective",
-]
 # vary between reruns; a phase that did not run (no builtin solve, no
 # solution to extract, no extracted paths to verify) leaves its column empty.
 # A case is loaded once, and its load time goes on each of its rows.
@@ -43,6 +37,10 @@ TIMING_COLUMNS = (
     "load_seconds", "trim_seconds", "build_seconds", "solve_seconds",
     "highs_seconds", "extract_seconds", "verify_seconds",
 )
+CSV_COLUMNS = [
+    "case", "kind", "modulation", "broken_link", "variant", "solver",
+    "variables", "constraints", *TIMING_COLUMNS, "status", "objective",
+]
 
 
 @dataclass
@@ -66,7 +64,7 @@ def discover_cases(corpus_dir: str) -> list:
     for entry in sorted(os.listdir(corpus_dir)):
         if not entry.endswith(".json"):
             continue
-        if entry.endswith(".manifest.json") or "solution" in entry:
+        if entry.endswith(".manifest.json"):
             continue
         path = os.path.join(corpus_dir, entry)
         manifest_path = path[: -len(".json")] + ".manifest.json"
@@ -90,7 +88,7 @@ def run_cell(
     doc = cli.answer(
         instance, variant, mode, cli.SolverConfig(solver=solver, time_limit=time_limit)
     )
-    timings = doc["meta"]["timings"]
+    timings = {"load_seconds": round(load_seconds, 6), **doc["meta"]["timings"]}
     model = doc["meta"].get("model", {})  # none when trimming proved infeasibility
     return {
         "case": case.name,
@@ -101,13 +99,7 @@ def run_cell(
         "solver": solver,
         "variables": model.get("variables", ""),
         "constraints": model.get("constraints", ""),
-        "load_seconds": round(load_seconds, 6),
-        "trim_seconds": timings["trim_seconds"],
-        "build_seconds": timings.get("build_seconds", ""),
-        "solve_seconds": timings.get("solve_seconds", ""),
-        "highs_seconds": timings.get("highs_seconds", ""),
-        "extract_seconds": timings.get("extract_seconds", ""),
-        "verify_seconds": timings.get("verify_seconds", ""),
+        **{column: timings.get(column, "") for column in TIMING_COLUMNS},
         "status": cli.reported_status(doc),
         "objective": "" if doc["objective"] is None else doc["objective"],
     }

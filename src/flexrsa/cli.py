@@ -141,7 +141,7 @@ def answer(
     model = build_model(instance, triples, variant, mode)
     build_seconds = time.perf_counter() - t0
     meta["timings"]["build_seconds"] = round(build_seconds, 6)
-    meta["model"] = model_statistics(model).to_dict()
+    meta["model"] = model_statistics(model)
 
     outcome = backend_solve(model, config)
     meta["solver_invoked"] = outcome.solver_name != "trivial"
@@ -159,16 +159,16 @@ def answer(
     objective = outcome.objective
     if mode == "maxsubset":  # the restored count, as `oracle` reports it, not the big-M cost
         objective = None
-        if outcome.assignment is not None:
+        if outcome.chosen is not None:
             objective = sum(
-                v for k, v in outcome.assignment.items() if isinstance(k, SelectVar)
+                isinstance(model.variables[j], SelectVar) for j in outcome.chosen
             )
     result = None
     report = None
-    if outcome.assignment is not None:
+    if outcome.chosen is not None:
         t0 = time.perf_counter()
         try:
-            result = extract_paths(outcome.assignment, model, instance)
+            result = extract_paths(outcome.chosen, model, instance)
         except ExtractionError as exc:
             meta["extraction_error"] = str(exc)
         meta["timings"]["extract_seconds"] = round(time.perf_counter() - t0, 6)

@@ -1,10 +1,11 @@
-"""Turn a solver assignment back into routed paths and certify them.
+"""Turn the columns a solve set back into routed paths and certify them.
 
-Extraction groups each demand's set flow columns by arc, a window column
-standing for its whole block of colors, and walks them from the source. It
-accepts an assignment iff every routed demand's arcs form one simple s->t
-path, each arc carrying one contiguous block of `width` colors and nothing
-else; split flow, leftover components or a broken block raise
+A solve hands over `chosen`: the indices into `model.variables` of the
+columns set to 1. Extraction groups each demand's chosen columns by arc, a
+window column standing for its whole block of colors, and walks them from
+the source. It accepts them iff every routed demand's arcs form one simple
+s->t path, each arc carrying one contiguous block of `width` colors and
+nothing else; split flow, leftover components or a broken block raise
 ExtractionError - that indicates a model bug, not bad input. Verification
 re-checks every routed path against the original instance and reports all
 violations instead of raising; its per-path checks are
@@ -14,9 +15,9 @@ violations instead of raising; its per-path checks are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from .milp import FlowVar, MilpModel, SelectVar, WindowVar
+from .milp import MilpModel, SelectVar, WindowVar
 from .model import RestorationInstance, RoutedPath, path_violations, paths_intersect
 
 
@@ -37,34 +38,27 @@ class ExtractResult:
 
 
 def extract_paths(
-    assignment: dict, model: MilpModel, instance: RestorationInstance
+    chosen: Iterable[int], model: MilpModel, instance: RestorationInstance
 ) -> ExtractResult:
-    """Reconstruct one RoutedPath per routed demand from a 0/1 assignment.
+    """Reconstruct one RoutedPath per routed demand from the chosen columns.
 
-    A window column counts as each color of its block; a set column of the
-    other kind than the model's raises ExtractionError. A demand's set
-    columns are accepted iff they form one simple s->t path whose every arc
-    carries exactly the block [c, c + width), c being the demand's lowest
-    set color; in maxsubset an unselected demand must have none. Anything
-    else raises ExtractionError.
+    chosen: indices into `model.variables` of the columns set to 1. A window
+    column counts as each color of its block. A demand's chosen columns are
+    accepted iff they form one simple s->t path whose every arc carries
+    exactly the block [c, c + width), c being the demand's lowest chosen
+    color; in maxsubset an unselected demand must have none. Anything else
+    raises ExtractionError.
     """
     net = instance.network
     width = {d.id: d.width for d in instance.demands}
-    windows = model.variant == "trimmed"
-    arc_key = WindowVar if windows else FlowVar
     flows: dict = {}  # demand id -> (link id, forward) -> colors
     selected = set()
-    for key, value in assignment.items():
-        if not value:
-            continue
+    for j in chosen:
+        key = model.variables[j]
         if isinstance(key, SelectVar):
             selected.add(key.demand)
             continue
-        if type(key) is not arc_key:
-            raise ExtractionError(
-                key.demand, f"{type(key).__name__} column in a {model.variant} model"
-            )
-        if windows:
+        if isinstance(key, WindowVar):
             colors = range(key.first, key.first + width[key.demand])
         else:
             colors = (key.color,)

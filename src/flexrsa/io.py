@@ -193,7 +193,10 @@ def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
             links = tuple(network.link(x) for x in ids)
         except InputError as exc:
             raise InputError(f"{where}/links: solution references {exc}") from None
-        paths[_require_int(raw, "demand", where)] = RoutedPath(
+        demand = _require_int(raw, "demand", where)
+        if demand in paths:
+            raise InputError(f"{where}/demand: demand {demand} is listed twice")
+        paths[demand] = RoutedPath(
             links=links,
             first_color=_require_int(raw, "first_color", where),
             width=_require_int(raw, "width", where),

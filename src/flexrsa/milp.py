@@ -192,46 +192,23 @@ class MilpModel:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ModelStatistics:
-    variant: str
-    mode: str
-    variables: int
-    arc_variables: int  # flow or window columns: all but the selectors
-    select_variables: int
-    fixed_zero: int
-    constraints: int
-    by_family: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "mode": self.mode,
-            "variables": self.variables,
-            "arc_variables": self.arc_variables,
-            "select_variables": self.select_variables,
-            "fixed_zero": self.fixed_zero,
-            "constraints": self.constraints,
-            "by_family": dict(sorted(self.by_family.items())),
-        }
-
-
-def model_statistics(model: MilpModel) -> ModelStatistics:
+def model_statistics(model: MilpModel) -> dict:
+    """The model's column and row counts, as `meta.model` reports them."""
     by_family: dict = {}
     for name in model.row_names:
         family = row_family(name)
         by_family[family] = by_family.get(family, 0) + 1
     select = int(np.count_nonzero(model.c < 0))  # only selectors have negative cost
-    return ModelStatistics(
-        variant=model.variant,
-        mode=model.mode,
-        variables=len(model.variables),
-        arc_variables=len(model.variables) - select,
-        select_variables=select,
-        fixed_zero=int(np.count_nonzero(model.ub == 0)),
-        constraints=len(model.row_names),
-        by_family=by_family,
-    )
+    return {
+        "variant": model.variant,
+        "mode": model.mode,
+        "variables": len(model.variables),
+        "arc_variables": len(model.variables) - select,  # flow or window columns
+        "select_variables": select,
+        "fixed_zero": int(np.count_nonzero(model.ub == 0)),
+        "constraints": len(model.row_names),
+        "by_family": dict(sorted(by_family.items())),
+    }
 
 
 def _variant_arcs(instance, triples, variant):

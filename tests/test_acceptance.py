@@ -102,8 +102,8 @@ def gen14_run():
     return {
         "instance": inst,
         "triples": triples,
-        "base_vars": model_statistics(base).variables,
-        "trimmed_vars": model_statistics(trimmed).variables,
+        "base_vars": model_statistics(base)["variables"],
+        "trimmed_vars": model_statistics(trimmed)["variables"],
         "trimmed_model": trimmed,
         "outcome": outcome,
         "trim_s": trim_s,
@@ -139,7 +139,7 @@ def test_criterion_02_end_to_end_feasibility(trimmed_runs):
                 bad.append((seed, outcome.status, outcome.objective,
                             oracle.min_total_slots))
                 continue
-            result = extract_paths(outcome.assignment, model, inst)
+            result = extract_paths(outcome.chosen, model, inst)
             if not verify_solution(result.paths, inst).ok:
                 bad.append((seed, "verify"))
             elif result.total_slots() != outcome.objective:
@@ -182,6 +182,11 @@ def test_criterion_03_variant_agreement(corpus200, trimmed_runs):
     assert not bad, f"variant disagreements: {bad}"
 
 
+def _selected(model, outcome):
+    """The number of selector columns a maxsubset solve set."""
+    return sum(isinstance(model.variables[j], SelectVar) for j in outcome.chosen)
+
+
 def test_criterion_04_maxsubset_optimality(corpus200, trimmed_runs):
     def work(item):
         seed, inst = item
@@ -195,12 +200,7 @@ def test_criterion_04_maxsubset_optimality(corpus200, trimmed_runs):
         outcome = solve(model, CFG)
         if outcome.status != OPTIMAL:
             return seed, None, outcome.status
-        restored = sum(
-            value
-            for key, value in outcome.assignment.items()
-            if isinstance(key, SelectVar)
-        )
-        return seed, restored, OPTIMAL
+        return seed, _selected(model, outcome), OPTIMAL
 
     bad = []
     results = _pmap(work, corpus200)
@@ -237,7 +237,7 @@ def test_criterion_05_golden_fixtures(t1, t2, t3, t4):
     if out2.status != OPTIMAL:
         failures.append(f"T2: {out2.status}, expected optimal")
     else:
-        path2 = extract_paths(out2.assignment, model2, t2).paths[2]
+        path2 = extract_paths(out2.chosen, model2, t2).paths[2]
         if path2.first_color != 2:
             failures.append(f"T2: first color {path2.first_color}, expected 2")
 
@@ -245,10 +245,8 @@ def test_criterion_05_golden_fixtures(t1, t2, t3, t4):
     out3 = solve(build_model(t3, triples3, "trimmed"), CFG)
     if out3.status != INFEASIBLE:
         failures.append(f"T3: {out3.status}, expected infeasible")
-    out3m = solve(build_model(t3, triples3, "trimmed", "maxsubset"), CFG)
-    restored3 = sum(
-        v for k, v in out3m.assignment.items() if isinstance(k, SelectVar)
-    )
+    model3m = build_model(t3, triples3, "trimmed", "maxsubset")
+    restored3 = _selected(model3m, solve(model3m, CFG))
     if restored3 != 1:
         failures.append(f"T3: max subset {restored3}, expected 1")
 
@@ -262,7 +260,7 @@ def test_criterion_05_golden_fixtures(t1, t2, t3, t4):
     if out4.status != OPTIMAL:
         failures.append(f"T4: {out4.status}, expected optimal")
     else:
-        path4 = extract_paths(out4.assignment, model4, t4).paths[4]
+        path4 = extract_paths(out4.chosen, model4, t4).paths[4]
         if path4.width != 2 or path4.first_color not in (1, 2, 3):
             failures.append(f"T4: got width {path4.width} at {path4.first_color}")
 

@@ -27,7 +27,7 @@ from flexrsa.backend import (
 from flexrsa.io import load_instance, save_instance
 from flexrsa.lp_driver import solve_highs, solve_lp_file
 from flexrsa.lpformat import emit_lp_text
-from flexrsa.milp import build_model
+from flexrsa.milp import WindowVar, build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.testgen import (
     MODULATION_REACH_KM,
@@ -50,19 +50,20 @@ class TestBuiltinSolver:
         out = solve(trimmed(t1), BUILTIN)
         assert out.status == OPTIMAL
         assert out.objective == 2
-        assert sum(out.assignment.values()) == 2
+        assert len(out.chosen) == 2
 
     def test_t3_infeasible(self, t3):
         out = solve(trimmed(t3), BUILTIN)
         assert out.status == INFEASIBLE
-        assert out.assignment is None
+        assert out.chosen is None
 
     def test_t3_maxsubset_restores_one(self, t3):
         from flexrsa.milp import SelectVar
 
-        out = solve(trimmed(t3, "maxsubset"), BUILTIN)
+        model = trimmed(t3, "maxsubset")
+        out = solve(model, BUILTIN)
         assert out.status == OPTIMAL
-        restored = [k for k in out.assignment if isinstance(k, SelectVar) and out.assignment[k]]
+        restored = [j for j in out.chosen if isinstance(model.variables[j], SelectVar)]
         assert len(restored) == 1
 
     def test_empty_model_short_circuits(self, t1):
@@ -101,7 +102,7 @@ class TestBuiltinSolver:
         # presolve alone solves t1's 4-column trimmed model before the check
         out = solve(build_model(t1, None, "notrim"), SolverConfig(solver="builtin", time_limit=1e-9))
         assert out.status == TIMELIMIT
-        assert out.assignment is None
+        assert out.chosen is None
 
     def test_driver_directly(self, t1, small_corpus, tmp_path):
         lp = tmp_path / "m.lp"
@@ -296,7 +297,9 @@ class TestCannedOutcomes:
         )
         out = solve(model, SolverConfig(solver=canned_solver(tmp_path, body), time_limit=5))
         assert out.status == TIMELIMIT
-        assert out.assignment is not None
+        assert [model.variables[j] for j in out.chosen] == [
+            WindowVar(1, 1, True, 1), WindowVar(1, 2, True, 1),
+        ]
         assert out.objective == 2
 
     def test_timelimit_without_incumbent(self, t1, tmp_path):
@@ -309,7 +312,7 @@ class TestCannedOutcomes:
             ),
         )
         assert out.status == TIMELIMIT
-        assert out.assignment is None
+        assert out.chosen is None
 
     def test_fractional_binary_is_hard_error(self, t1, tmp_path):
         model = trimmed(t1)

@@ -393,6 +393,7 @@ class TestGenAndValidate:
         *[json.dumps({"paths": [dict(GOOD_PATH, **{key: bad})]}).encode()
           for key, bad in (("demand", None), ("links", 1), ("links", ["1"]), ("links", [9]),
                            ("first_color", "1"), ("width", 1.5))],
+        json.dumps({"paths": [GOOD_PATH, GOOD_PATH]}).encode(),
     ])
     def test_validate_refuses_malformed_solution(self, t1_file, tmp_path, capsys, content):
         sol = tmp_path / "bad.json"
@@ -532,6 +533,18 @@ class TestBench:
         assert "skipping" in capsys.readouterr().err
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert len(lines) == 2  # header + the one real instance
+
+    def test_instance_named_like_a_solution_gets_rows(self, tmp_path, t1):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_instance(t1, str(corpus / "resolution.json"))
+        csv_path = tmp_path / "b.csv"
+        assert main(
+            ["bench", str(corpus), "--solvers", "builtin", "--time-limit", "60",
+             "--variants", "trimmed", "--csv", str(csv_path), "--md", str(tmp_path / "b.md")]
+        ) == 0
+        (row,) = read_csv_rows(csv_path)
+        assert (row["case"], row["status"], row["objective"]) == ("resolution", "optimal", "2")
 
     def test_maxsubset_excludes_non_reroutable_as_solve_does(self, t1, tmp_path):
         # demand 2 (1 -> 3) cannot reach its target within 0.5 km

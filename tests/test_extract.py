@@ -26,7 +26,7 @@ def solve_trimmed(inst, mode="feasibility"):
 class TestExtraction:
     def test_t1_route(self, t1):
         model, out = solve_trimmed(t1)
-        result = extract_paths(out.assignment, model, t1)
+        result = extract_paths(out.chosen, model, t1)
         path = result.paths[1]
         assert path.link_ids() == (1, 2)
         assert path.first_color in (1, 2)
@@ -34,7 +34,7 @@ class TestExtraction:
 
     def test_t4_contiguous_width_two(self, t4):
         model, out = solve_trimmed(t4)
-        path = extract_paths(out.assignment, model, t4).paths[4]
+        path = extract_paths(out.chosen, model, t4).paths[4]
         assert path.link_ids() == (1, 2)
         assert path.width == 2
         assert path.first_color in (1, 2, 3)
@@ -42,11 +42,11 @@ class TestExtraction:
     def test_empty_demands(self, t1):
         inst = RestorationInstance(t1.network, ())
         model, out = solve_trimmed(inst)
-        assert extract_paths(out.assignment, model, inst).paths == {}
+        assert extract_paths(out.chosen, model, inst).paths == {}
 
     def test_t3_maxsubset_restores_exactly_one(self, t3):
         model, out = solve_trimmed(t3, "maxsubset")
-        result = extract_paths(out.assignment, model, t3)
+        result = extract_paths(out.chosen, model, t3)
         assert result.restored is not None
         assert len(result.restored) == 1
         (path,) = result.paths.values()
@@ -55,7 +55,7 @@ class TestExtraction:
     def test_objective_consistency(self, t1, t2, t4):
         for inst in (t1, t2, t4):
             model, out = solve_trimmed(inst)
-            result = extract_paths(out.assignment, model, inst)
+            result = extract_paths(out.chosen, model, inst)
             assert result.total_slots() == out.objective
 
 
@@ -63,45 +63,49 @@ def fv(d, l, fwd, c):
     return FlowVar(d, l, fwd, c)
 
 
+def indices(model, keys):
+    """The ascending column indices of the given keys; KeyError for a key
+    that is not one of the model's columns."""
+    index = {key: j for j, key in enumerate(model.variables)}
+    return sorted(index[key] for key in keys)
+
+
 class TestExtractionErrors:
     """Flow models (`notrim`) for per-color faults; windows at the end."""
 
     def test_split_flow_at_source(self, t1):
         model = build_model(t1, None, "notrim")
-        bad = {v: 0 for v in model.variables}
-        bad[fv(1, 1, True, 1)] = 1  # forward on link 1 at color 1
-        bad[fv(1, 1, True, 2)] = 1  # and again at color 2: two source links? no,
-        # same link twice is a broken block of width 2 for a width-1 demand
-        bad[fv(1, 2, True, 1)] = 1
+        bad = indices(model, [
+            fv(1, 1, True, 1),  # forward on link 1 at color 1
+            fv(1, 1, True, 2),  # and again at color 2: two source links? no,
+            # same link twice is a broken block of width 2 for a width-1 demand
+            fv(1, 2, True, 1),
+        ])
         with pytest.raises(ExtractionError):
             extract_paths(bad, model, t1)
 
     def test_cycle_component_detected(self, t4):
         # legit path at colors 1-2 plus a bogus extra occupation at color 4
         model = build_model(t4, None, "notrim")
-        bad = {v: 0 for v in model.variables}
-        for link in (1, 2):
-            for c in (1, 2):
-                bad[fv(4, link, True, c)] = 1
-        bad[fv(4, 1, False, 4)] = 1
+        keys = [fv(4, link, True, c) for link in (1, 2) for c in (1, 2)]
+        bad = indices(model, keys + [fv(4, 1, False, 4)])
         with pytest.raises(ExtractionError, match="leftover|block|outgoing"):
             extract_paths(bad, model, t4)
 
     def test_unselected_demand_with_flow(self, t3):
         model = build_model(t3, None, "notrim", "maxsubset")
-        bad = {v: 0 for v in model.variables}
-        bad[SelectVar(1)] = 1
-        bad[fv(1, 1, True, 1)] = 1
-        bad[fv(2, 1, False, 1)] = 1  # demand 2 not selected but flows
+        bad = indices(model, [
+            SelectVar(1),
+            fv(1, 1, True, 1),
+            fv(2, 1, False, 1),  # demand 2 not selected but flows
+        ])
         with pytest.raises(ExtractionError, match="unselected"):
             extract_paths(bad, model, t3)
 
     def test_broken_color_block(self, t4):
         model = build_model(t4, None, "notrim")
-        bad = {v: 0 for v in model.variables}
-        for link in (1, 2):
-            bad[fv(4, link, True, 1)] = 1
-            bad[fv(4, link, True, 3)] = 1  # gap at color 2
+        # gap at color 2
+        bad = indices(model, [fv(4, link, True, c) for link in (1, 2) for c in (1, 3)])
         with pytest.raises(ExtractionError, match="contiguous|block"):
             extract_paths(bad, model, t4)
 
@@ -111,23 +115,9 @@ class TestExtractionErrors:
     ], ids=["overlap", "mismatch"])
     def test_window_blocks(self, t4, windows):
         model = build_model(t4, compute_useful_triples(t4), "trimmed")
-        bad = {v: 0 for v in model.variables}
-        for link, first in windows:
-            bad[WindowVar(4, link, True, first)] = 1
+        bad = indices(model, [WindowVar(4, link, True, first) for link, first in windows])
         with pytest.raises(ExtractionError, match="contiguous block"):
             extract_paths(bad, model, t4)
-
-    @pytest.mark.parametrize("variant, key", [
-        ("trimmed", FlowVar), ("notrim", WindowVar),
-    ], ids=["flow-in-windows", "window-in-flow"])
-    def test_column_of_the_other_kind(self, t1, variant, key):
-        # t1's route 1-2 at color 1, keyed by the kind the model does not have
-        model = build_model(t1, compute_useful_triples(t1), variant)
-        bad = {v: 0 for v in model.variables}
-        bad[key(1, 1, True, 1)] = 1
-        bad[key(1, 2, True, 1)] = 1
-        with pytest.raises(ExtractionError, match=f"{key.__name__} column in a {variant} model"):
-            extract_paths(bad, model, t1)
 
 
 def witness_arcs(path, s):
@@ -153,25 +143,23 @@ def starts(model, path):
     return (path.first_color,) if model.variant == "trimmed" else path.colors()
 
 
-def witness_assignment(model, instance, witness):
-    """The model's columns set to 1 exactly where the witness routes flow,
-    with every routed demand selected in maxsubset."""
-    assignment = {v: 0 for v in model.variables}
+def witness_chosen(model, instance, witness):
+    """The model's columns set exactly where the witness routes flow, with
+    every routed demand selected in maxsubset, as a set of column indices."""
+    keys = []
     demands = {d.id: d for d in instance.demands}
     for d_id, path in witness.items():
         if model.mode == "maxsubset":
-            assignment[SelectVar(d_id)] = 1
+            keys.append(SelectVar(d_id))
         for link, forward in witness_arcs(path, demands[d_id].s):
-            for c in starts(model, path):
-                assignment[column(model, d_id, link.id, forward, c)] = 1
-    assert set(assignment) == set(model.variables)  # the witness has columns
-    return assignment
+            keys += [column(model, d_id, link.id, forward, c) for c in starts(model, path)]
+    return set(indices(model, keys))  # KeyError: the witness has no column
 
 
-def broken_assignments(model, instance, witness, assignment):
-    """Single changes to a witness assignment that must each be refused:
-    (what changed, the changed assignment)."""
-    columns = set(model.variables)
+def broken_chosen(model, instance, witness, chosen):
+    """Single changes to a witness's chosen columns that must each be
+    refused: (what changed, the changed column indices)."""
+    index = {key: j for j, key in enumerate(model.variables)}
     demands = {d.id: d for d in instance.demands}
     for d_id, path in sorted(witness.items()):
         d = demands[d_id]
@@ -181,31 +169,32 @@ def broken_assignments(model, instance, witness, assignment):
         changes = []
         for link, forward in arcs:
             key = column(model, d_id, link.id, forward, path.first_color)
-            changes.append((f"drop d{d_id} l{link.id}", key, 0))
+            changes.append((f"drop d{d_id} l{link.id}", key, False))
             for c in range(1, instance.network.slot_count + 1):
                 if c not in set_at:
                     key = column(model, d_id, link.id, forward, c)
-                    changes.append((f"d{d_id} l{link.id} at c{c}", key, 1))
+                    changes.append((f"d{d_id} l{link.id} at c{c}", key, True))
         for link in instance.network.links:
             for forward in (True, False):
                 head = link.v if forward else link.u
                 tail = link.u if forward else link.v
                 key = column(model, d_id, link.id, forward, path.first_color)
                 if head == d.s:
-                    changes.append((f"d{d_id} l{link.id} enters the source", key, 1))
+                    changes.append((f"d{d_id} l{link.id} enters the source", key, True))
                 elif tail not in on_path and head not in on_path:
-                    changes.append((f"d{d_id} l{link.id} detached", key, 1))
+                    changes.append((f"d{d_id} l{link.id} detached", key, True))
         if model.mode == "maxsubset":
-            changes.append((f"d{d_id} unselected", SelectVar(d_id), 0))
-        for what, key, value in changes:
-            if key in columns and assignment[key] != value:
-                yield what, {**assignment, key: value}
+            changes.append((f"d{d_id} unselected", SelectVar(d_id), False))
+        for what, key, on in changes:
+            j = index.get(key)
+            if j is not None and (j in chosen) != on:
+                yield what, sorted(chosen ^ {j})
 
 
 class TestWitnessRoundTrip:
-    """Every feasible corpus instance's oracle witness, written as a model
-    assignment, extracts to exactly that witness; each single change that
-    leaves the one-simple-path-per-demand shape is refused."""
+    """Every feasible corpus instance's oracle witness, written as the
+    model's chosen columns, extracts to exactly that witness; each single
+    change that leaves the one-simple-path-per-demand shape is refused."""
 
     @pytest.mark.parametrize("variant", ["base", "notrim", "trimmed"])
     def test_corpus(self, small_corpus, variant):
@@ -217,10 +206,10 @@ class TestWitnessRoundTrip:
             triples = compute_useful_triples(inst)
             for mode in ("feasibility", "maxsubset"):
                 model = build_model(inst, triples, variant, mode)
-                assignment = witness_assignment(model, inst, outcome.witness)
-                result = extract_paths(assignment, model, inst)
+                chosen = witness_chosen(model, inst, outcome.witness)
+                result = extract_paths(sorted(chosen), model, inst)
                 assert result.paths == outcome.witness, seed
-                for what, bad in broken_assignments(model, inst, outcome.witness, assignment):
+                for what, bad in broken_chosen(model, inst, outcome.witness, chosen):
                     try:
                         extract_paths(bad, model, inst)
                     except ExtractionError:
@@ -264,7 +253,7 @@ class TestVerification:
 class TestSolutionJson:
     def test_document_shape(self, t1):
         model, out = solve_trimmed(t1)
-        result = extract_paths(out.assignment, model, t1)
+        result = extract_paths(out.chosen, model, t1)
         report = verify_solution(result.paths, t1)
         doc = solution_to_dict(out.status, out.objective, result, report, {"seed": 0})
         assert doc["status"] == "optimal"

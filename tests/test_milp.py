@@ -22,7 +22,7 @@ class TestVariableSets:
     def test_t1_trimmed_has_four_windows(self, t1):
         # only the forward arcs 1 -> 2 -> 3 lie on a simple path within reach
         model = trimmed(t1)
-        assert model_statistics(model).variables == 4
+        assert model_statistics(model)["variables"] == 4
         assert model.variables == (
             WindowVar(1, 1, True, 1), WindowVar(1, 1, True, 2),
             WindowVar(1, 2, True, 1), WindowVar(1, 2, True, 2),
@@ -40,20 +40,20 @@ class TestVariableSets:
 
     def test_t1_base_has_twelve(self, t1):
         model = build_model(t1, None, "base")
-        assert model_statistics(model).variables == 12  # 1 demand x 3 links x 2 colors x 2 dirs
+        assert model_statistics(model)["variables"] == 12  # 1 demand x 3 links x 2 colors x 2 dirs
 
     def test_t3_trimmed_has_two(self, t3):
         # both demands run 1 -> 2: the backward arc would enter the source
         model = trimmed(t3)
-        assert model_statistics(model).variables == 2
+        assert model_statistics(model)["variables"] == 2
         assert model.variables == (WindowVar(1, 1, True, 1), WindowVar(2, 1, True, 1))
 
     def test_empty_demand_set(self, t1):
         inst = RestorationInstance(t1.network, ())
         model = trimmed(inst)
         stats = model_statistics(model)
-        assert stats.variables == 0
-        assert stats.constraints == 0
+        assert stats["variables"] == 0
+        assert stats["constraints"] == 0
 
     def test_base_fixes_occupied_colors(self, t2):
         model = build_model(t2, None, "base")
@@ -78,7 +78,7 @@ class TestVariableSets:
         assert [v for v in maxs.variables if isinstance(v, SelectVar)] == [
             SelectVar(1), SelectVar(2)
         ]
-        assert model_statistics(maxs).select_variables == 2
+        assert model_statistics(maxs)["select_variables"] == 2
 
 
 class TestConstraints:
@@ -206,16 +206,16 @@ class TestColumnKeys:
 class TestStatistics:
     def test_by_family_counts(self, t4):
         stats = model_statistics(trimmed(t4))
-        assert stats.by_family["uni"] == 8  # 2 links x 4 colors
-        assert stats.by_family["srcout"] == 1
-        assert stats.arc_variables == stats.variables == 6  # windows, no selectors
+        assert stats["by_family"]["uni"] == 8  # 2 links x 4 colors
+        assert stats["by_family"]["srcout"] == 1
+        assert stats["arc_variables"] == stats["variables"] == 6  # windows, no selectors
         maxsubset = model_statistics(trimmed(t4, "maxsubset"))
-        assert (maxsubset.arc_variables, maxsubset.select_variables) == (6, 1)
-        assert stats.fixed_zero == 0
+        assert (maxsubset["arc_variables"], maxsubset["select_variables"]) == (6, 1)
+        assert stats["fixed_zero"] == 0
 
     def test_base_fixed_accounting(self, t2):
         stats = model_statistics(build_model(t2, None, "base"))
-        assert stats.fixed_zero == 2  # (link 2, color 1) in both directions
+        assert stats["fixed_zero"] == 2  # (link 2, color 1) in both directions
 
 
 class TestRows:
