@@ -218,6 +218,30 @@ class TestHighsInputGolden:
         assert highs_input_digest(highs_input(model, monkeypatch)) == highs
         assert hashlib.sha256(emit_lp_text(model).encode("utf-8")).hexdigest() == lp
 
+    def test_small_corpus_digest(self, small_corpus):
+        # every variant and mode of the tiny corpus, in one digest of the
+        # arrays that the builtin solve hands to HiGHS
+        h = hashlib.sha256()
+        for _, inst in small_corpus:
+            triples = compute_useful_triples(inst)
+            for variant in ("base", "notrim", "trimmed"):
+                for mode in ("feasibility", "maxsubset"):
+                    kept = inst
+                    if mode == "maxsubset":  # as the solve command does
+                        kept = RestorationInstance(inst.network, tuple(
+                            d for d in inst.demands if d.id not in triples.non_reroutable
+                        ))
+                    model = build_model(kept, triples, variant, mode)
+                    arrays = dict(
+                        c=model.c, indptr=model.a.indptr, indices=model.a.indices,
+                        data=model.a.data, lower=model.lower, upper=model.upper,
+                        ub=model.ub,
+                    )
+                    h.update(highs_input_digest(arrays).encode("ascii"))
+        assert h.hexdigest() == (
+            "b759790f5e9a49683320f446f644d1e906124b40e88be0af2c462e1bb917593d"
+        )
+
 
 class TestHighsSettings:
     def test_exact_settings(self, t1, monkeypatch):

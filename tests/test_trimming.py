@@ -1,8 +1,22 @@
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flexrsa.io import load_instance
 from flexrsa.model import Demand, Link, OpticalNetwork, RestorationInstance
 from flexrsa.oracle import (
     bellman_ford_distances,
     candidate_routings,
     oracle_useful_triples,
+)
+from flexrsa.testgen import (
+    MODULATION_REACH_KM,
+    builtin_topology_path,
+    generate_loaded_network,
+    make_scenario,
 )
 from flexrsa.trimming import (
     INF,
@@ -11,6 +25,7 @@ from flexrsa.trimming import (
     free_windows,
     triples_to_dict,
 )
+from trimming_reference import reference_useful_triples
 
 
 def assert_triples_equal(a, b):
@@ -18,6 +33,17 @@ def assert_triples_equal(a, b):
     assert dict(a.first_colors) == dict(b.first_colors)
     assert dict(a.valid_first_colors) == dict(b.valid_first_colors)
     assert a.non_reroutable == b.non_reroutable
+
+
+def trim_digest(triples, instance) -> str:
+    """sha256 over the `trim` JSON and the sorted arc first colors."""
+    arcs = sorted(
+        [d, l, forward, sorted(colors)]
+        for (d, l, forward), colors in triples.arc_first_colors.items()
+    )
+    doc = {"trim": triples_to_dict(triples, instance), "arcs": arcs}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def color_one_dijkstra(net, root):
@@ -227,3 +253,79 @@ class TestTrimJson:
         assert doc["first_colors"] == {"2:1": [2], "2:2": [2]}
         assert doc["non_reroutable"] == []
         assert [2, 1, 2] in doc["useful"]
+
+
+class TestGolden:
+    """Trimming output of three seed-7 benchmark scenarios: the ring14 QPSK
+    first-kind break of link 1, and the grid12 second-kind breaks 8-QAM
+    f7-b12 and QPSK f17-b7."""
+
+    @pytest.mark.parametrize(
+        "topology, modulation, broken, kind, first_break, digest",
+        [
+            ("ring14", "qpsk", 1, "first", None,
+             "163e0c952bc5016787ebcb36f34f2ebfe8e305662fa1fc965495e15d1c255a7a"),
+            ("grid12", "8qam", 12, "second", 7,
+             "d67d092de43f905e0177bf77ec2065d70b4a340ea330183d2f47853aacf7a775"),
+            ("grid12", "qpsk", 7, "second", 17,
+             "b91d9e77bdbf06fd9b72e63615f15c4c5d7c1c8bd4a607620a1340a69d6d5de1"),
+        ],
+        ids=["ring14-first", "grid12-8qam-f7-b12", "grid12-qpsk-f17-b7"],
+    )
+    def test_digest(self, topology, modulation, broken, kind, first_break, digest):
+        loaded = generate_loaded_network(
+            load_instance(builtin_topology_path(topology)).network,
+            MODULATION_REACH_KM[modulation],
+            seed=7,
+            modulation=modulation,
+        )
+        inst = make_scenario(loaded, broken, kind, first_break=first_break).instance
+        assert trim_digest(compute_useful_triples(inst), inst) == digest
+
+
+LENGTHS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.7, 1.0)
+
+
+@st.composite
+def awkward_instances(draw):
+    """Small instances with parallel and zero-length links, widths up to 4
+    and reaches that equal a sum of link lengths taken in another order
+    (0.1 + 0.2 > 0.3 in floats)."""
+    n = draw(st.integers(2, 5))
+    slots = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    ends = draw(st.lists(pairs, min_size=1, max_size=8))
+    links = [
+        Link(i + 1, u, v, draw(st.sampled_from(LENGTHS))) for i, (u, v) in enumerate(ends)
+    ]
+    free = {
+        l.id: draw(st.sets(st.integers(1, slots), min_size=slots // 2)) for l in links
+    }
+    net = OpticalNetwork(range(n), links, free, slots)
+    demands = []
+    for i in range(draw(st.integers(1, 3))):
+        s, t = draw(pairs)
+        hops = draw(st.lists(st.sampled_from(links), min_size=1, max_size=4))
+        summed = sorted((l.length for l in hops), reverse=draw(st.booleans()))
+        reach = sum(summed) or draw(st.sampled_from(LENGTHS[1:]))
+        demands.append(Demand(i + 1, s, t, draw(st.integers(1, min(4, slots))), reach))
+    return RestorationInstance(net, tuple(demands))
+
+
+class TestReference:
+    @given(awkward_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_window_scan(self, inst):
+        got = compute_useful_triples(inst)
+        want = reference_useful_triples(inst)
+        assert_triples_equal(got, want)
+        assert dict(got.arc_first_colors) == dict(want.arc_first_colors)
+
+    def test_small_corpus(self, small_corpus):
+        for seed, inst in small_corpus:
+            got = compute_useful_triples(inst)
+            assert dict(got.arc_first_colors) == dict(
+                reference_useful_triples(inst).arc_first_colors
+            ), f"corpus seed {seed}"
