@@ -17,19 +17,37 @@ avoids a. Routings are simple paths (extraction certifies nothing else), so
 dropping the other arcs loses no routing. A node-avoiding distance differs
 from the plain one only when the avoided node lies on the plain shortest
 path; only then is a Dijkstra run with that node's links inactive, once per
-(root, node) and window.
+(root, node) and window graph.
+
+One call scans each demand's windows once per reach region. The region of
+a demand is the set of links that pass the walk test, against
+reach * (1 + 1e-9), in the union of its width's window graphs. A link on a
+walk within reach in one window graph passes there too, since no union
+distance is longer, so a scan finds nothing outside the region. Scanning a
+window graph therefore gives what scanning its restriction to the region
+gives: each distance that can make a test pass runs over region links only,
+and a test that fails still fails on the smaller graph. First colors whose
+window graphs agree on the region form a group, and the group gets one scan,
+on the window graph of its first color; each scanned link takes the whole
+group's colors at once. The slack keeps a link whose walk sums to the reach
+in another order inside the region. Shortest-path trees and node-avoiding
+detours are computed once per (root, window graph) and shared by every
+demand of the call, and demands with the same endpoints and reach share
+scans.
 
 The scan reads the network's index form (`OpticalNetwork.adj`, `ends`,
 `node_index`, and the free-slot matrix `free`) and builds no graph or
-spectrum matrix of its own. The module's Dijkstra is the package's only
-shortest-path search; the loader's first-fit router (:mod:`flexrsa.testgen`)
-uses it too, and `free_windows` is the one rule for which links can carry a
-color window (the MILP builder's notrim first colors come from it as well).
+spectrum matrix of its own; only numpy is needed. The module's Dijkstra is
+the package's only shortest-path search; the loader's first-fit router
+(:mod:`flexrsa.testgen`) uses it too, and `free_windows` is the one rule for
+which links can carry a color window (the MILP builder's notrim first colors
+come from it as well).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -110,65 +128,79 @@ def free_windows(avail: np.ndarray, width: int) -> np.ndarray:
     return windows.all(axis=2).T
 
 
-def _avoiding(adj, lengths, active, ends, root: int, dist, pred):
-    """f(node, avoid): the distance from `root` to a reachable `node` in the
-    window graph (the edges e with active[e]) without node `avoid`, neither
-    the root nor `node`. dist and pred are that graph's shortest-path tree
-    from the root, which gives the answer unless `avoid` lies on its path."""
-    detours: dict = {}  # avoided node -> distances without it
+class _Trees:
+    """Shortest-path trees and node-avoiding distances over numbered window
+    graphs (graphs[g]: active flags per edge), each computed once per
+    (root, window graph) and shared by every scan of one call."""
 
-    def distance(node: int, avoid: int) -> float:
+    def __init__(self, adj, ends, lengths, graphs) -> None:
+        self.adj, self.ends, self.lengths, self.graphs = adj, ends, lengths, graphs
+        self.trees: dict = {}  # (root, g) -> (dist, pred)
+        self.detours: dict = {}  # (root, g, avoided node) -> dist
+
+    def tree(self, root: int, g: int):
+        key = (root, g)
+        if key not in self.trees:
+            self.trees[key] = dijkstra(self.adj, self.lengths, self.graphs[g], root)
+        return self.trees[key]
+
+    def avoiding(self, root: int, g: int, node: int, avoid: int) -> float:
+        """The distance from `root` to a reachable `node` in window graph g
+        without node `avoid`, neither the root nor `node`. The tree, built
+        already, gives it unless `avoid` lies on the tree's path."""
+        dist, pred = self.trees[root, g]
         x = node
         while x != root:
-            u, v = ends[pred[x]]
+            u, v = self.ends[pred[x]]
             x = u if v == x else v
             if x == avoid:
                 break
         else:
             return dist[node]
-        if avoid not in detours:
-            cut = list(active)
-            for e, _ in adj[avoid]:
+        key = (root, g, avoid)
+        if key not in self.detours:
+            cut = list(self.graphs[g])
+            for e, _ in self.adj[avoid]:
                 cut[e] = False
-            detours[avoid] = dijkstra(adj, lengths, cut, root)[0]
-        return detours[avoid][node]
-
-    return distance
+            self.detours[key] = dijkstra(self.adj, self.lengths, cut, root)[0]
+        return self.detours[key][node]
 
 
-def _scan_window(adj, ends, lengths, active, s: int, t: int, reach: float):
-    """One range graph (the edges e with active[e]): None if t is out of
-    reach from s; else (edges on a walk within reach, forward arcs and
-    backward arcs passing the arc test), as edge position lists."""
-    dist_s, pred_s = dijkstra(adj, lengths, active, s)
+def _scan_window(trees: _Trees, g: int, s: int, t: int, reach: float, region):
+    """Window graph g: None if t is out of reach from s; else (edges on a walk
+    within reach, forward arcs and backward arcs passing the arc test), as
+    edge position lists. `region` lists, ascending, edge positions that hold
+    every edge of g on a walk within reach; the others are not tested."""
+    dist_s = trees.tree(s, g)[0]
     if dist_s[t] > reach:
         return None
-    dist_t, pred_t = dijkstra(adj, lengths, active, t)
-    from_s = _avoiding(adj, lengths, active, ends, s, dist_s, pred_s)
-    to_t = _avoiding(adj, lengths, active, ends, t, dist_t, pred_t)
+    dist_t = trees.tree(t, g)[0]
+    active, ends, lengths = trees.graphs[g], trees.ends, trees.lengths
     walks, forward, backward = [], [], []
-    for e, (u, v) in enumerate(ends):
+    for e in region:
         if not active[e]:
             continue
+        u, v = ends[e]
         ln = lengths[e]
         fwd = dist_s[u] + ln + dist_t[v] <= reach
         bwd = dist_s[v] + ln + dist_t[u] <= reach
         if not (fwd or bwd):
             continue
         walks.append(e)
-        # the arc test; node-avoiding distances are never shorter
+        # the arc test; a node-avoiding distance is never the shorter, so
+        # to_t(b, a) >= dist_t[b] and the walk test at b is implied
         for arcs, ok, a, b in ((forward, fwd, u, v), (backward, bwd, v, u)):
             if ok and b != s and a != t:
-                head = from_s(a, b) + ln
-                if head + dist_t[b] <= reach and head + to_t(b, a) <= reach:
+                head = trees.avoiding(s, g, a, b) + ln
+                if head + trees.avoiding(t, g, b, a) <= reach:
                     arcs.append(e)
     return walks, forward, backward
 
 
 def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
-    """Run the trimming scan for every demand of the instance. Windows with
-    the same range graph share one scan, for demands with the same
-    endpoints and reach too."""
+    """Run the trimming scan for every demand of the instance: one scan per
+    group of first colors whose window graphs agree on the demand's reach
+    region, for demands with the same endpoints and reach too."""
     net = instance.network
     adj, ends, node_index = net.adj, net.ends, net.node_index
     lengths = [l.length for l in net.links]
@@ -178,40 +210,76 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     arc_first: dict = {}
     valid_first: dict = {}
     non_reroutable = set()
-    scans: dict = {}  # (s, t, reach, range graph) -> its _scan_window
-    widths = {d.width for d in instance.demands}
-    windows = {w: list(map(tuple, free_windows(net.free, w).tolist())) for w in widths}
+    scans: dict = {}  # (s, t, reach, window graph) -> its _scan_window
+
+    # number the distinct window graphs; masks[g] has bit e iff edge e is in g
+    graphs: list = []
+    masks: list = []
+    numbers: dict = {}
+
+    def number(active: tuple) -> int:
+        if active not in numbers:
+            numbers[active] = len(graphs)
+            graphs.append(active)
+            masks.append(sum(1 << e for e, on in enumerate(active) if on))
+        return numbers[active]
+
+    firsts: dict = {}  # width -> window graph per first color
+    union: dict = {}  # width -> the union of its window graphs
+    for w in sorted({d.width for d in instance.demands}):
+        rows = free_windows(net.free, w)
+        firsts[w] = [number(active) for active in map(tuple, rows.tolist())]
+        union[w] = number(tuple(rows.any(axis=0).tolist()))
+    trees = _Trees(adj, ends, lengths, graphs)
 
     for demand in sorted(instance.demands, key=lambda d: d.id):
-        s, t, reach = node_index[demand.s], node_index[demand.t], demand.reach
+        s, t, reach, w = node_index[demand.s], node_index[demand.t], demand.reach, demand.width
+        # the region: links on a walk within reach in the union graph, where
+        # no distance is longer; the slack covers sums taken in another order
+        u_graph = union[w]
+        dist_s, dist_t = trees.tree(s, u_graph)[0], trees.tree(t, u_graph)[0]
+        bound = reach * (1 + 1e-9)
+        region = [
+            e for e, (u, v) in enumerate(ends)
+            if graphs[u_graph][e] and (
+                dist_s[u] + lengths[e] + dist_t[v] <= bound
+                or dist_s[v] + lengths[e] + dist_t[u] <= bound
+            )
+        ]
+        # window graphs equal on the region scan alike: one scan per group
+        region_mask = sum(1 << e for e in region)
+        groups: dict = {}  # restricted window graph -> (first window's graph, colors)
+        for c, g in enumerate(firsts[w], start=1):
+            groups.setdefault(masks[g] & region_mask, (g, []))[1].append(c)
         valid = []
         # edge -> first colors it lies on: on a walk, as forward, as backward arc
         marks: tuple = tuple([[] for _ in ends] for _ in range(3))
-        for c, active in enumerate(windows[demand.width], start=1):
-            key = (s, t, reach, active)
+        for g, cols in groups.values():
+            key = (s, t, reach, g)
             if key not in scans:
-                scans[key] = _scan_window(adj, ends, lengths, active, s, t, reach)
+                scans[key] = _scan_window(trees, g, s, t, reach, region)
             scan = scans[key]
             if scan is None:
                 continue
-            valid.append(c)
+            valid += cols
             for by_edge, edges in zip(marks, scan):
                 for e in edges:
-                    by_edge[e].append(c)
+                    by_edge[e] += cols
         valid_first[demand.id] = frozenset(valid)
         if not valid:
             non_reroutable.add(demand.id)
             continue
-        for link, cols, fwd_cols, bwd_cols in zip(net.links, *marks):
+        for e in region:
+            cols, fwd_cols, bwd_cols = (by_edge[e] for by_edge in marks)
             if not cols:
                 continue
-            first_colors[(demand.id, link.id)] = frozenset(cols)
-            for c in cols:
-                for cc in range(c, c + demand.width):
-                    useful.add((demand.id, link.id, cc))
+            link_id = net.links[e].id
+            first_colors[(demand.id, link_id)] = frozenset(cols)
+            covered = {c + i for c in cols for i in range(w)} if w > 1 else cols
+            useful.update(zip(repeat(demand.id), repeat(link_id), covered))
             for forward, arc_cols in ((True, fwd_cols), (False, bwd_cols)):
                 if arc_cols:
-                    arc_first[(demand.id, link.id, forward)] = frozenset(arc_cols)
+                    arc_first[(demand.id, link_id, forward)] = frozenset(arc_cols)
 
     return UsefulTripleSet(
         useful=frozenset(useful),

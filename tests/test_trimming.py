@@ -329,3 +329,21 @@ class TestReference:
             assert dict(got.arc_first_colors) == dict(
                 reference_useful_triples(inst).arc_first_colors
             ), f"corpus seed {seed}"
+
+    def test_region_slack(self):
+        # 3-4-1-2-5 over link 2 sums to the reach from 3 (0.6 + 0.7 + 1.3 +
+        # 1.3) but not in the walk test's order. Without the region's slack
+        # the 3-4 links fall out of the region, colors 1 and 2 (whose 3-4
+        # links differ) form one group, and color 2 gets color 1's scan.
+        links = [
+            Link(1, 4, 1, 0.7), Link(2, 4, 3, 0.6), Link(3, 0, 3, 0.7),
+            Link(4, 3, 4, 0.7), Link(5, 2, 1, 1.3), Link(6, 0, 3, 1.3),
+            Link(7, 5, 2, 1.3),
+        ]
+        free = {1: [1, 2], 2: [1], 3: [1], 4: [2], 5: [1, 2], 6: [1, 2], 7: [1, 2]}
+        net = OpticalNetwork(range(6), links, free, 2)
+        inst = RestorationInstance(net, (Demand(1, 3, 5, 1, 0.6 + 0.7 + 1.3 + 1.3),))
+        got = compute_useful_triples(inst)
+        want = reference_useful_triples(inst)
+        assert_triples_equal(got, want)
+        assert dict(got.arc_first_colors) == dict(want.arc_first_colors)
