@@ -32,11 +32,17 @@ The builder is a pure function that writes the solver matrix directly: the
 column keys, an objective vector, column upper bounds, one CSR row matrix with
 row bounds, and a name per row. Columns come out in demand, link, direction
 (forward first), color order, then the selectors; in ``base`` and ``notrim``
-both directions of a link have the same colors. Rows come family by family, each
-family in sorted demand/link/color order. `Rows` is the one way from rows to a
-CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it
-too. The builder reads the network's own index form: the flow rows walk
-`OpticalNetwork.adj` / `ends`, and the notrim windows and the base variant's
+both directions of a link have the same colors. The columns are a table of
+arrays (demand, link, direction, color), read off a mask over those four
+axes that holds only the arcs with columns. Rows come family by family, each
+family in sorted demand/link/color order. The flow, source, reach and
+unicolor families are written as column blocks: each family's terms are
+derived from the column table as arrays, sorted once into row order and term
+order, and handed to `Rows.block` whole; only the contiguity rows of ``base``
+and ``notrim`` go one by one through `Rows.add`. `Rows` is the one way from
+rows to a CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file
+through it too. The builder reads the network's own index form (link `ends`,
+`node_index`, `link_index`), and the notrim windows and the base variant's
 fixed columns come from `OpticalNetwork.free`. The per-row dict view
 (`MilpModel.constraints`) is derived from the arrays only when something
 reads it.
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
@@ -112,18 +119,21 @@ class LinearConstraint:
 class Rows:
     """Rows, in order, to a CSR matrix with row bounds and names.
 
-    `add` keeps the terms in the order given, merges a repeated column into
-    its first occurrence and drops zero terms; a row left without terms is
-    kept.
+    `add` appends one row: it keeps the terms in the order given, merges a
+    repeated column into its first occurrence and drops zero terms; a row
+    left without terms is kept. `block` appends a whole family of rows from
+    term arrays sorted by row, as given; it refuses a row that repeats a
+    column or carries a zero term, and keeps a row without terms.
     """
 
     def __init__(self) -> None:
         self.names: list = []
         self.lower: list = []
         self.upper: list = []
-        self.indptr: list = [0]
-        self.indices: list = []
-        self.data: list = []
+        self.counts: list = []  # terms per row
+        self.chunks: list = []  # (columns, values) arrays, in row order
+        self.cols: list = []  # terms of the rows added since the last chunk
+        self.vals: list = []
 
     def add(self, name: str, cols: list, vals: list, relation: str, rhs) -> None:
         if len(set(cols)) < len(cols):
@@ -134,19 +144,55 @@ class Rows:
         if 0 in vals:
             kept = [k for k, v in enumerate(vals) if v]
             cols, vals = [cols[k] for k in kept], [vals[k] for k in kept]
-        self.indices += cols
-        self.data += vals
-        self.indptr.append(len(self.indices))
+        self.cols += cols
+        self.vals += vals
+        self.counts.append(len(cols))
         self.names.append(name)
         self.lower.append(-np.inf if relation == "<=" else rhs)
         self.upper.append(np.inf if relation == ">=" else rhs)
+
+    def block(self, names: list, row, cols, vals, relation: str, rhs) -> None:
+        """Rows `names`, all with one relation; rhs is one value or one per
+        row. Term k is cols[k] with value vals[k] in row row[k] of the block;
+        the terms are sorted by row, and a row's terms are in order."""
+        row = np.asarray(row, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if len(row) and (row[0] < 0 or row[-1] >= len(names) or np.any(row[1:] < row[:-1])):
+            raise ValueError(f"block {names[:1]}: terms not sorted into its rows")
+        if np.any(vals == 0):
+            raise ValueError(f"block {names[:1]}: a zero term")
+        if len(cols):
+            terms = np.sort(row * (int(cols.max()) + 1) + cols)
+            if np.any(terms[1:] == terms[:-1]):
+                raise ValueError(f"block {names[:1]}: a row repeats a column")
+        self._chunk()
+        self.chunks.append((cols, vals))
+        self.counts += np.bincount(row, minlength=len(names)).tolist()
+        self.names += names
+        bound = np.broadcast_to(np.asarray(rhs, dtype=np.float64), len(names)).tolist()
+        self.lower += [-np.inf] * len(names) if relation == "<=" else bound
+        self.upper += [np.inf] * len(names) if relation == ">=" else bound
+
+    def _chunk(self) -> None:
+        if self.cols:
+            self.chunks.append((np.asarray(self.cols, dtype=np.int64),
+                                np.asarray(self.vals, dtype=np.float64)))
+            self.cols, self.vals = [], []
 
     def matrix(self, n_cols: int):
         """(a, lower, upper): the rows as a CSR matrix over n_cols columns."""
         from scipy import sparse  # deferred: commands that build no model skip scipy
 
+        self._chunk()
+        indptr = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=indptr[1:])
         a = sparse.csr_array(
-            (np.asarray(self.data, dtype=np.float64), self.indices, self.indptr),
+            (
+                np.concatenate([v for _, v in self.chunks] or [np.zeros(0)]),
+                np.concatenate([c for c, _ in self.chunks] or [np.zeros(0, np.int64)]),
+                indptr,
+            ),
             shape=(len(self.names), n_cols),
         )
         return (
@@ -211,54 +257,45 @@ def model_statistics(model: MilpModel) -> dict:
     }
 
 
-def _variant_arcs(instance, triples, variant):
-    """Per (demand id, link id): for its forward and then its backward arc,
-    (column colors ascending, first-color candidates); a window's color is
-    its first color."""
+def _columns(instance, demands, triples, variant):
+    """The column table, in column order: demand position, link position,
+    side (0 forward, 1 backward) and color (a window's first color), as
+    arrays. Only the arcs with columns are visited."""
     net = instance.network
-    all_colors = list(range(1, net.slot_count + 1))
-    all_set = frozenset(all_colors)
-    if variant == "notrim":
-        by_width: dict = {}  # width -> per link position, its free windows' first colors
-        for w in {d.width for d in instance.demands}:
-            by_width[w] = [
-                frozenset((np.flatnonzero(col) + 1).tolist())
-                for col in free_windows(net.free, w).T
-            ]
-    arcs: dict = {}
-    for d in instance.demands:
-        for e, l in enumerate(net.links):
-            if variant == "trimmed":
-                firsts = triples.arc_first_colors
-                arcs[(d.id, l.id)] = tuple(
-                    (sorted(firsts.get((d.id, l.id, fwd), ())), None)
-                    for fwd in (True, False)
-                )
-            else:
-                both = (
-                    (all_colors, all_set) if variant == "base"
-                    else (sorted(net.available[l.id]), by_width[d.width][e])
-                )
-                arcs[(d.id, l.id)] = (both, both)
-    return arcs
+    mask = np.zeros((len(demands), len(net.links), 2, net.slot_count + 1), dtype=bool)
+    if variant == "trimmed":
+        position = {d.id: k for k, d in enumerate(demands)}
+        arcs = [
+            (position[d], net.link_index[l], 0 if forward else 1, colors)
+            for (d, l, forward), colors in triples.arc_first_colors.items()
+            if d in position
+        ]
+        sizes = [len(colors) for *_, colors in arcs]
+        where = np.ravel_multi_index(
+            tuple(np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3)),
+            mask.shape[:3],
+        )
+        colors = np.fromiter(chain.from_iterable(a[3] for a in arcs), np.int64, sum(sizes))
+        mask.reshape(-1)[np.repeat(where, sizes) * mask.shape[3] + colors] = True
+    else:  # the same colors for every demand, in both directions
+        mask[..., 1:] = True if variant == "base" else net.free[:, None, :]
+    return np.nonzero(mask)
 
 
-def _out_in(net, node: int, on: dict):
-    """(outgoing, incoming) columns at a node position, for one demand and
-    color. on: link position -> [forward column, backward column] of the
-    links carrying the color, None for an arc without one; forward runs from
-    the link's u to its v.
-    """
-    out, inn = [], []
-    for li, _ in net.adj[node]:
-        pair = on.get(li)
-        if pair is not None:
-            leaving, entering = pair if net.ends[li][0] == node else pair[::-1]
-            if leaving is not None:
-                out.append(leaving)
-            if entering is not None:
-                inn.append(entering)
-    return out, inn
+def _starts(*keys) -> np.ndarray:
+    """Flags the first of each run of equal keys, over parallel arrays."""
+    flags = np.ones(len(keys[0]), dtype=bool)
+    if len(flags):
+        flags[1:] = False
+        for k in keys:
+            flags[1:] |= k[1:] != k[:-1]
+    return flags
+
+
+def _order(keys: tuple, dims: tuple) -> np.ndarray:
+    """The order that sorts terms by keys, the first the most significant;
+    key k lies in range(dims[k]), and no two terms agree on every key."""
+    return np.argsort(np.ravel_multi_index(keys, dims))
 
 
 def build_model(
@@ -287,153 +324,155 @@ def build_model(
     slots = net.slot_count
     demands = sorted(instance.demands, key=lambda d: d.id)
     links = net.links  # already sorted by id
-    arcs = _variant_arcs(instance, triples, variant)
-    # colors per column: a window covers the demand's width and carries it
-    # once; a flow column covers one color and carries a width-th of it
+    n_d, n_l, n_v = len(demands), len(links), len(net.nodes)
     windows = variant == "trimmed"
+    di, li, side, color = _columns(instance, demands, triples, variant)
+    n_flow = len(color)
+    col = np.arange(n_flow)
+    d_ids = np.array([d.id for d in demands], dtype=np.int64)
+    l_ids = np.array([l.id for l in links], dtype=np.int64)
     key = WindowVar if windows else FlowVar
-    span = {d.id: d.width if windows else 1 for d in demands}
-
-    # columns: blocks[di][li] = its forward and its backward arc, each
-    # (first column, colors, first colors); the backward arc's columns
-    # follow the forward arc's. A column covers its color, or its window.
-    variables: list = []
-    cost: list = []
-    blocks: list = []
-    fixed: list = []
-    big_m = 1  # exceeds any flow's cost: a slot carries at most one demand
-    for d in demands:
-        per_link = []
-        for li, l in enumerate(links):
-            pair = []
-            for fwd, (colors, firsts) in zip((True, False), arcs[(d.id, l.id)]):
-                pair.append((len(variables), colors, firsts))
-                variables.extend(key(d.id, l.id, fwd, c) for c in colors)
-                cost += [span[d.id]] * len(colors)
-            covered = {c + i for _, cs, _ in pair for c in cs for i in range(span[d.id])}
-            big_m += len(covered)
-            if variant == "base":  # colors 1..C: column k is color k + 1
-                f_start, b_start = pair[0][0], pair[1][0]
-                for k in np.flatnonzero(~net.free[li]).tolist():
-                    fixed += (f_start + k, b_start + k)
-            per_link.append(pair)
-        blocks.append(per_link)
-    n_flow = len(variables)
+    variables = list(map(
+        key, d_ids[di].tolist(), l_ids[li].tolist(), (side == 0).tolist(), color.tolist()
+    ))
     if mode == "maxsubset":
         variables.extend(SelectVar(d.id) for d in demands)
 
+    # a window covers the demand's width and carries it once; a flow column
+    # covers one color and carries a width-th of it
+    widths = np.array([d.width for d in demands], dtype=np.int64)
+    span = widths[di] if windows else np.ones(n_flow, dtype=np.int64)
+    units = np.ones(n_d, dtype=np.int64) if windows else widths
+    ends = np.array(net.ends, dtype=np.int64).reshape(-1, 2)
+    tail, head = ends[li, side], ends[li, 1 - side]
+    s = np.array([net.node_index[d.s] for d in demands], dtype=np.int64)[di]
+    t = np.array([net.node_index[d.t] for d in demands], dtype=np.int64)[di]
     rows = Rows()
 
     # flow conservation at inner nodes, per demand and color (first color of
-    # a window); the source's columns are gathered on the way for the source
-    # rows
+    # a window): leaving columns, then entering ones, each by link
+    leave = (tail != s) & (tail != t)
+    enter = (head != s) & (head != t)
+    f_d, f_c, f_l = (np.concatenate((x[leave], x[enter])) for x in (di, color, li))
+    f_node = np.concatenate((tail[leave], head[enter]))
+    f_in = np.repeat([0, 1], [np.count_nonzero(leave), np.count_nonzero(enter)])
+    f_col = np.concatenate((col[leave], col[enter]))
+    order = _order((f_d, f_c, f_node, f_in, f_l), (n_d, slots + 1, n_v, 2, n_l))
+    f_d, f_c, f_node, f_in, f_col = (x[order] for x in (f_d, f_c, f_node, f_in, f_col))
+    starts = _starts(f_d, f_c, f_node)
     tag = "w" if windows else "c"
-    source: list = []
-    uni: list = [{} for _ in links]  # link index -> color -> columns
-    for d, per_link in zip(demands, blocks):
-        on_color: list = [{} for _ in range(slots + 1)]
-        for li, pair in enumerate(per_link):
-            by_color = uni[li]
-            for side, (start, colors, _) in enumerate(pair):
-                for k, c in enumerate(colors):
-                    on_color[c].setdefault(li, [None, None])[side] = start + k
-                    for cc in range(c, c + span[d.id]):
-                        by_color.setdefault(cc, []).append(start + k)
-        s, t = net.node_index[d.s], net.node_index[d.t]
-        out_all, in_all = [], []
-        for c in range(1, slots + 1):
-            on = on_color[c]
-            if not on:
-                continue
-            out, inn = _out_in(net, s, on)
-            out_all += out
-            in_all += inn
-            inner = {x for li in on for x in net.ends[li]}
-            inner.discard(s)
-            inner.discard(t)
-            for node in sorted(inner):
-                out, inn = _out_in(net, node, on)
-                rows.add(
-                    f"flow_d{d.id}_{tag}{c}_n{node}",
-                    out + inn, [1] * len(out) + [-1] * len(inn), "=", 0,
-                )
-        source.append((out_all, in_all))
+    names = [
+        f"flow_d{d}_{tag}{c}_n{node}"
+        for d, c, node in zip(d_ids[f_d[starts]].tolist(), f_c[starts].tolist(),
+                              f_node[starts].tolist())
+    ]
+    rows.block(names, np.cumsum(starts) - 1, f_col, 1 - 2 * f_in, "=", 0)
 
-    # source constraints: out-flow equals width (or width * y) in colors,
-    # that is one window (or y); in-flow zero
-    for di, (d, (out_all, in_all)) in enumerate(zip(demands, source)):
-        units = d.width // span[d.id]
-        ones = [1] * len(out_all)
-        if mode == "maxsubset":
-            rows.add(
-                f"srcout_d{d.id}", out_all + [n_flow + di], ones + [-units], "=", 0
-            )
-        else:
-            # kept even with no terms: a demand without any variable at its
-            # source makes the model infeasible, and the row records why
-            rows.add(f"srcout_d{d.id}", out_all, ones, "=", units)
-        if in_all:
-            rows.add(f"srcin_d{d.id}", in_all, [1] * len(in_all), "=", 0)
+    # source rows, per demand: out-flow equals width (or width * y) in
+    # colors, that is one window (or y), by color then column; in-flow zero.
+    # Row 2k is demand k's out row, kept even with no terms: a demand
+    # without any variable at its source makes the model infeasible, and the
+    # row records why. Row 2k + 1 is its in row, if it has terms.
+    out, inn = tail == s, head == s
+    src_row = np.concatenate((2 * di[out], 2 * di[inn] + 1))
+    src_c = np.concatenate((color[out], color[inn]))
+    src_col = np.concatenate((col[out], col[inn]))
+    src_val = np.ones(len(src_col))
+    if mode == "maxsubset":  # the selector closes the out row
+        src_row = np.concatenate((src_row, 2 * np.arange(n_d)))
+        src_c = np.concatenate((src_c, np.full(n_d, slots + 1)))
+        src_col = np.concatenate((src_col, n_flow + np.arange(n_d)))
+        src_val = np.concatenate((src_val, -units))
+    order = _order((src_row, src_c, src_col), (2 * n_d, slots + 2, n_flow + n_d))
+    kept = np.zeros(2 * n_d, dtype=bool)
+    kept[0::2] = True
+    kept[src_row] = True
+    kept = np.flatnonzero(kept)
+    names = [f"{('srcout', 'srcin')[k % 2]}_d{d_ids[k // 2]}" for k in kept.tolist()]
+    rhs = 0 if mode == "maxsubset" else units[kept // 2]
+    rows.block(
+        names, np.searchsorted(kept, src_row[order]), src_col[order],
+        src_val[order], "=", np.where(kept % 2, 0, rhs),
+    )
 
     # reachability: occupied length is at most reach * width in colors, that
     # is reach in windows
-    for d, per_link in zip(demands, blocks):
-        terms, vals = [], []
-        for l, ((start, f_colors, _), (_, b_colors, _)) in zip(links, per_link):
-            if l.length == 0:
-                continue
-            n = len(f_colors) + len(b_colors)
-            terms += range(start, start + n)
-            vals += [l.length] * n
-        if terms:
-            units = d.width // span[d.id]
-            rows.add(f"reach_d{d.id}", terms, vals, "<=", d.reach * units)
+    lengths = np.array([l.length for l in links], dtype=np.float64)[li]
+    on = lengths != 0
+    starts = _starts(di[on])
+    reached = di[on][starts].tolist()
+    rows.block(
+        [f"reach_d{d_ids[k]}" for k in reached], np.cumsum(starts) - 1,
+        col[on], lengths[on], "<=", [demands[k].reach * units[k] for k in reached],
+    )
 
-    # unicolor: a (link, color) slot carries at most one demand, one direction
-    for l, by_color in zip(links, uni):
-        for c in sorted(by_color):
-            terms = by_color[c]
-            rows.add(f"uni_l{l.id}_c{c}", terms, [1] * len(terms), "<=", 1)
+    # unicolor: a (link, color) slot carries at most one demand, one
+    # direction; columns by index
+    u_col = np.repeat(col, span)
+    u_c = color[u_col] + np.arange(len(u_col)) - np.repeat(np.cumsum(span) - span, span)
+    order = _order((li[u_col], u_c, u_col), (n_l, slots + 1, n_flow))
+    u_col, u_c = u_col[order], u_c[order]
+    u_l = li[u_col]
+    starts = _starts(u_l, u_c)
+    names = [
+        f"uni_l{l}_c{c}" for l, c in zip(l_ids[u_l[starts]].tolist(), u_c[starts].tolist())
+    ]
+    rows.block(names, np.cumsum(starts) - 1, u_col, np.ones(len(u_col)), "<=", 1)
+    # exceeds any flow's cost: a slot carries at most one demand, so the
+    # flow cost is at most the count of distinct (demand, link, color) slots
+    # that the columns cover
+    big_m = 1 + int(np.count_nonzero(_starts(u_l, u_c, di[u_col])))
 
     # contiguity families, per arc over its own colors (a missing column
     # counts as zero); identically true for width-1 demands, so skipped, and
     # windows need none
-    for d, per_link in zip(demands, blocks):
-        w = d.width
-        if w == 1 or windows:
-            continue
-        for l, pair in zip(links, per_link):
-            for (base, colors, firsts), dir_tag in zip(pair, "fb"):
-                pos = {c: k for k, c in enumerate(colors)}
-                for k, c in enumerate(colors):
-                    if c in firsts:
-                        terms = [base + pos[c + i] for i in range(w) if c + i in pos]
-                        vals = [1] * len(terms) + [-w]
-                        terms.append(base + k)
-                        if c - 1 in firsts:
-                            terms.append(base + pos[c - 1])
-                            vals.append(w)
-                            fam = "ctgA"
-                        else:
-                            fam = "ctgB"
-                        rows.add(
-                            f"{fam}_d{d.id}_l{l.id}{dir_tag}_c{c}", terms, vals, ">=", 0
-                        )
-                    elif variant != "base":
-                        terms, vals = [base + k], [-1]
-                        if c - 1 in pos:
-                            terms.append(base + pos[c - 1])
-                            vals.append(1)
-                        rows.add(
-                            f"ctgC_d{d.id}_l{l.id}{dir_tag}_c{c}", terms, vals, ">=", 0
-                        )
+    if not windows:
+        all_firsts = frozenset(range(1, net.slot_count + 1))
+        free_firsts: dict = {}  # width -> per link position, its free windows' first colors
+        arc_starts = np.flatnonzero(_starts(di, li, side)).tolist()
+        for base, end in zip(arc_starts, arc_starts[1:] + [n_flow]):
+            d, e = demands[di[base]], li[base]
+            w = d.width
+            if w == 1:
+                continue
+            if variant == "base":
+                firsts = all_firsts
+            else:
+                if w not in free_firsts:
+                    free_firsts[w] = [
+                        frozenset((np.flatnonzero(flags) + 1).tolist())
+                        for flags in free_windows(net.free, w).T
+                    ]
+                firsts = free_firsts[w][e]
+            colors = color[base:end].tolist()
+            tag = f"d{d.id}_l{links[e].id}{'fb'[side[base]]}"
+            pos = {c: k for k, c in enumerate(colors)}
+            for k, c in enumerate(colors):
+                if c in firsts:
+                    terms = [base + pos[c + i] for i in range(w) if c + i in pos]
+                    vals = [1] * len(terms) + [-w]
+                    terms.append(base + k)
+                    if c - 1 in firsts:
+                        terms.append(base + pos[c - 1])
+                        vals.append(w)
+                        fam = "ctgA"
+                    else:
+                        fam = "ctgB"
+                    rows.add(f"{fam}_{tag}_c{c}", terms, vals, ">=", 0)
+                elif variant != "base":
+                    terms, vals = [base + k], [-1]
+                    if c - 1 in pos:
+                        terms.append(base + pos[c - 1])
+                        vals.append(1)
+                    rows.add(f"ctgC_{tag}_c{c}", terms, vals, ">=", 0)
 
     n = len(variables)
     c_vec = np.zeros(n)
-    c_vec[:n_flow] = cost
+    c_vec[:n_flow] = span
     c_vec[n_flow:] = -big_m
     ub = np.ones(n)
-    ub[fixed] = 0.0
+    if variant == "base":  # colors 1..C, fixed at zero where occupied
+        ub[:n_flow][~net.free[li, color - 1]] = 0.0
     a, lower, upper = rows.matrix(n)
 
     return MilpModel(

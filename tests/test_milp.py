@@ -233,6 +233,35 @@ class TestRows:
         assert upper.tolist() == [np.inf, 4.0, 7.5]
         assert rows.names == ["a", "b", "c"]
 
+    def test_blocks_and_single_rows_keep_their_order(self):
+        rows = Rows()
+        rows.add("a", [2], [1], ">=", 0)
+        # row "b" has no terms and is kept; the terms of "c" stay in order
+        rows.block(["b", "c"], [1, 1], [2, 0], [1, -1], "=", [4, 0])
+        rows.add("d", [1, 1], [1, 1], "<=", 7.5)
+        rows.block(["e"], [0], [0], [3.5], "<=", 1)
+        a, lower, upper = rows.matrix(3)
+        assert a.indptr.tolist() == [0, 1, 1, 3, 4, 5]
+        assert a.indices.tolist() == [2, 2, 0, 1, 0]
+        assert a.data.tolist() == [1.0, 1.0, -1.0, 2.0, 3.5]
+        assert lower.tolist() == [0.0, 4.0, 0.0, -np.inf, -np.inf]
+        assert upper.tolist() == [np.inf, 4.0, 0.0, 7.5, 1.0]
+        assert rows.names == ["a", "b", "c", "d", "e"]
+
+    @pytest.mark.parametrize(
+        "row, cols, vals",
+        [
+            ([0, 1, 1], [0, 2, 2], [1, 1, -1]),  # a repeated column
+            ([0, 1], [0, 2], [1, 0]),  # a zero term
+            ([1, 0], [0, 2], [1, 1]),  # terms out of row order
+            ([0, 2], [0, 2], [1, 1]),  # a term past the last row
+        ],
+        ids=["repeat", "zero", "unsorted", "outside"],
+    )
+    def test_block_refuses_malformed_terms(self, row, cols, vals):
+        with pytest.raises(ValueError):
+            Rows().block(["a", "b"], row, cols, vals, "=", 0)
+
 
 class TestDerivedRows:
     def test_constraints_mirror_the_arrays(self, t4):
