@@ -16,6 +16,7 @@ artifact embeds seed, variant, solver identity and tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -416,9 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Parsing never changes it, so
+    calls of `main` share it, from any thread."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, GenerationError, OracleGuardError, SolverNotFound, OSError) as exc:

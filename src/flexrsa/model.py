@@ -212,8 +212,8 @@ class RestorationInstance:
                 raise InputError(f"{where}: width must be a positive integer")
             if d.width > net.slot_count:
                 raise InputError(f"{where}: width {d.width} exceeds C={net.slot_count}")
-            if not d.reach > 0:
-                raise InputError(f"{where}: reach must be positive")
+            if not 0 < d.reach < math.inf:
+                raise InputError(f"{where}: reach {d.reach} must be finite and positive")
 
     def demand(self, demand_id: int) -> Demand:
         for d in self.demands:

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import flexrsa
+from flexrsa import cli
 from flexrsa.cli import main
 from flexrsa.extract import ExtractionError, extract_paths
 from flexrsa.io import instance_to_dict, save_instance
@@ -594,6 +596,41 @@ class TestBench:
         assert row["objective"] == "2"
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_threads_share_it(self):
+        # four threads parse different command lines through the one parser,
+        # switching as often as the interpreter allows
+        def variant(k):
+            return ("notrim", "trimmed")[k % 3 - 1]
+
+        def argv(k):
+            if k % 3 == 0:
+                return ["trim", f"i{k}.json", "-o", f"o{k}.json"]
+            return ["solve", f"i{k}.json", "--variant", variant(k), "--time-limit", str(k)]
+
+        def parse(k):
+            args = cli._parser().parse_args(argv(k))
+            return (args.func, args.instance, args.output, vars(args).get("variant"),
+                    vars(args).get("time_limit"))
+
+        def expected(k):
+            if k % 3 == 0:
+                return (cli.cmd_trim, f"i{k}.json", f"o{k}.json", None, None)
+            return (cli.cmd_solve, f"i{k}.json", None, variant(k), float(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(parse, range(1200)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected(k) for k in range(1200)]
+
+
 class TestVersionAndErrors:
     def test_missing_file(self):
         assert main(["trim", "/nonexistent/instance.json"]) == 1
@@ -635,6 +672,22 @@ class TestVersionAndErrors:
         assert main(["solve", str(path), "--solver", "builtin"]) == 1
         assert capsys.readouterr().err == (
             f"error: link 3 has length {length}; it must be finite and non-negative\n"
+        )
+
+    @pytest.mark.parametrize("reach", ["1e400", "-1e400", "NaN", "0"])
+    def test_loader_refuses_reach_not_finite_and_positive(
+        self, t1, tmp_path, capsys, reach
+    ):
+        # "1e400" loads as inf; the LP file cannot write it
+        text = json.dumps(instance_to_dict(t1)).replace('"reach_km": 2.0', f'"reach_km": {reach}')
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = ["solve", str(path), "--solver", "builtin", "--keep-files",
+                "--workdir", str(tmp_path / "files")]
+        assert main(argv) == 1
+        value = float(reach)
+        assert capsys.readouterr().err == (
+            f"error: demand #0 (id=1): reach {value} must be finite and positive\n"
         )
 
     def test_version(self, capsys):
