@@ -348,7 +348,10 @@ def cmd_bench(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Parsing never changes it, so
+    calls of `main` share it, from any thread."""
     parser = argparse.ArgumentParser(
         prog="flexrsa",
         description="Exact solver and benchmark rig for restoration-style "
@@ -417,15 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process. Parsing never changes it, so
-    calls of `main` share it, from any thread."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, GenerationError, OracleGuardError, SolverNotFound, OSError) as exc:

@@ -47,8 +47,8 @@ come from it as well).
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -188,7 +188,7 @@ def _scan_window(trees: _Trees, g: int, s: int, t: int, reach: float, region):
             continue
         walks.append(e)
         # the arc test; a node-avoiding distance is never the shorter, so
-        # to_t(b, a) >= dist_t[b] and the walk test at b is implied
+        # passing it implies head + dist_t[b] <= reach
         for arcs, ok, a, b in ((forward, fwd, u, v), (backward, bwd, v, u)):
             if ok and b != s and a != t:
                 head = trees.avoiding(s, g, a, b) + ln

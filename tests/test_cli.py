@@ -598,7 +598,7 @@ class TestBench:
 
 class TestParser:
     def test_built_once(self):
-        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is cli.build_parser()
 
     def test_threads_share_it(self):
         # four threads parse different command lines through the one parser,
@@ -612,7 +612,7 @@ class TestParser:
             return ["solve", f"i{k}.json", "--variant", variant(k), "--time-limit", str(k)]
 
         def parse(k):
-            args = cli._parser().parse_args(argv(k))
+            args = cli.build_parser().parse_args(argv(k))
             return (args.func, args.instance, args.output, vars(args).get("variant"),
                     vars(args).get("time_limit"))
 
