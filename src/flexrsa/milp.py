@@ -262,7 +262,7 @@ def _columns(instance, demands, triples, variant):
     side (0 forward, 1 backward) and color (a window's first color), as
     arrays. Only the arcs with columns are visited."""
     net = instance.network
-    mask = np.zeros((len(demands), len(net.links), 2, net.slot_count + 1), dtype=bool)
+    shape = (len(demands), len(net.links), 2, net.slot_count + 1)
     if variant == "trimmed":
         position = {d.id: k for k, d in enumerate(demands)}
         arcs = [
@@ -273,12 +273,13 @@ def _columns(instance, demands, triples, variant):
         sizes = [len(colors) for *_, colors in arcs]
         where = np.ravel_multi_index(
             tuple(np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3)),
-            mask.shape[:3],
+            shape[:3],
         )
         colors = np.fromiter(chain.from_iterable(a[3] for a in arcs), np.int64, sum(sizes))
-        mask.reshape(-1)[np.repeat(where, sizes) * mask.shape[3] + colors] = True
-    else:  # the same colors for every demand, in both directions
-        mask[..., 1:] = True if variant == "base" else net.free[:, None, :]
+        return np.unravel_index(np.sort(np.repeat(where, sizes) * shape[3] + colors), shape)
+    # the same colors for every demand, in both directions
+    mask = np.zeros(shape, dtype=bool)
+    mask[..., 1:] = True if variant == "base" else net.free[:, None, :]
     return np.nonzero(mask)
 
 
