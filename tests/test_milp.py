@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,47 @@ class TestDerivedRows:
         for con, name in zip(model.constraints, model.row_names):
             assert con.tag == name
         assert model.constraints is model.constraints  # derived once
+
+
+class TestKeysAndNamesGolden:
+    """The column keys and row names, locked in one digest: `small_corpus`
+    x 3 variants x 2 modes and the trimmed models of the two benchmark-corpus
+    scenarios of test_testgen's TestGolden. The HiGHS-input and LP-text
+    digests do not see every key and name; this one does."""
+
+    def test_digest(self, small_corpus):
+        from flexrsa.io import load_instance
+        from flexrsa.testgen import (
+            MODULATION_REACH_KM,
+            builtin_topology_path,
+            generate_loaded_network,
+            make_scenario,
+        )
+
+        cases = []
+        for _, inst in small_corpus:
+            cases += [(inst, v, m) for v in ("base", "notrim", "trimmed")
+                      for m in ("feasibility", "maxsubset")]
+        for topology, modulation, broken, kind, first_break, modes in (
+            ("ring14", "qpsk", 1, "first", None, ("feasibility",)),
+            ("grid12", "8qam", 12, "second", 7, ("feasibility", "maxsubset")),
+        ):
+            loaded = generate_loaded_network(
+                load_instance(builtin_topology_path(topology)).network,
+                MODULATION_REACH_KM[modulation], seed=7, modulation=modulation,
+            )
+            inst = make_scenario(loaded, broken, kind, first_break=first_break).instance
+            cases += [(inst, "trimmed", m) for m in modes]
+        h = hashlib.sha256()
+        for inst, variant, mode in cases:
+            triples = compute_useful_triples(inst)
+            if mode == "maxsubset":  # as the solve command does
+                inst = RestorationInstance(inst.network, tuple(
+                    d for d in inst.demands if d.id not in triples.non_reroutable
+                ))
+            model = build_model(inst, triples, variant, mode)
+            h.update(repr(model.variables).encode("utf-8"))
+            h.update(repr(model.row_names).encode("utf-8"))
+        assert h.hexdigest() == (
+            "db61c046b55b81376e4b6b4447d5d6fde5812d2931f61b8e2bb7234d0d00206d"
+        )
