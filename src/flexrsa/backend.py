@@ -233,7 +233,7 @@ def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
                 INFEASIBLE, None, None, 0.0, "trivial",
                 message=f"unsatisfiable constraint {tag} with no variables",
             )
-    return SolveOutcome(OPTIMAL, np.empty(0, dtype=np.intp), 0.0, 0.0, "trivial")
+    return SolveOutcome(OPTIMAL, np.empty(0, dtype=np.intp), 0, 0.0, "trivial")
 
 
 def _rounded(model: MilpModel, status: str, objective, values):
@@ -245,7 +245,7 @@ def _rounded(model: MilpModel, status: str, objective, values):
         fractional = np.flatnonzero((x > 0.01) & (x < 0.99))
         if fractional.size:
             j = fractional[0]
-            key = model.variables[j]
+            (key,) = model.keys([j])
             return ERROR, None, None, f"non-integral binary {var_name(key)}={values[j]}"
         chosen = np.flatnonzero(x >= 0.5)
         objective = int(model.c[chosen].sum())  # integer coefficients: exact
@@ -260,7 +260,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     wall_seconds covers the whole solve: for a subprocess solver, LP
     emission, the process and the parsing of its solution file.
     """
-    if not model.variables:
+    if not len(model.c):
         return _evaluate_without_solver(model)
 
     start = time.perf_counter()

@@ -34,7 +34,7 @@ from .backend import (
 )
 from .extract import ExtractionError, extract_paths, solution_to_dict, verify_solution
 from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution_paths
-from .milp import SelectVar, build_model, model_statistics
+from .milp import build_model, model_statistics
 from .model import InputError, RestorationInstance
 from .oracle import OracleGuard, OracleGuardError, oracle_solve
 from .testgen import (
@@ -160,10 +160,8 @@ def answer(
     objective = outcome.objective
     if mode == "maxsubset":  # the restored count, as `oracle` reports it, not the big-M cost
         objective = None
-        if outcome.chosen is not None:
-            objective = sum(
-                isinstance(model.variables[j], SelectVar) for j in outcome.chosen
-            )
+        if outcome.chosen is not None:  # only selectors have negative cost
+            objective = int((model.c[outcome.chosen] < 0).sum())
     result = None
     report = None
     if outcome.chosen is not None:

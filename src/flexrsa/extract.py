@@ -53,8 +53,7 @@ def extract_paths(
     width = {d.id: d.width for d in instance.demands}
     flows: dict = {}  # demand id -> (link id, forward) -> colors
     selected = set()
-    for j in chosen:
-        key = model.variables[j]
+    for key in model.keys(chosen):
         if isinstance(key, SelectVar):
             selected.add(key.demand)
             continue

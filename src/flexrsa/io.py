@@ -19,13 +19,14 @@ the loader normalizes both forms. The writer always emits maximal runs as
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from .model import Demand, InputError, Link, OpticalNetwork, RestorationInstance, RoutedPath
 
 
-def normalize_colors(raw: Any, where: str) -> list[int]:
-    """Expand a JSON color list (ints and/or [lo, hi] pairs) to sorted ints."""
+def normalize_colors(raw: Any, where: str, slot_count: Optional[int] = None) -> list[int]:
+    """Expand a JSON color list (ints and/or [lo, hi] pairs) to sorted ints;
+    a range must lie in 1..slot_count, checked before it is expanded."""
     if not isinstance(raw, list):
         raise InputError(f"{where}: colors must be a list")
     out: set[int] = set()
@@ -42,6 +43,10 @@ def normalize_colors(raw: Any, where: str) -> list[int]:
             lo, hi = item
             if lo > hi:
                 raise InputError(f"{where}/{i}: empty color range [{lo}, {hi}]")
+            if slot_count is not None and (lo < 1 or hi > slot_count):
+                raise InputError(
+                    f"{where}/{i}: color range [{lo}, {hi}] outside 1..{slot_count}"
+                )
             out.update(range(lo, hi + 1))
         else:
             raise InputError(f"{where}/{i}: expected integer or [lo, hi] pair")
@@ -107,7 +112,7 @@ def instance_from_dict(data: dict) -> RestorationInstance:
             )
         )
         available[link_id] = normalize_colors(
-            _require(raw, "colors", where), f"{where}/colors"
+            _require(raw, "colors", where), f"{where}/colors", slot_count
         )
 
     demands = []

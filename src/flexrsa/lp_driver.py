@@ -1,15 +1,27 @@
 """The builtin solver: scipy's HiGHS, in the calling process.
 
 `solve_highs` hands a model's arrays (`milp.MilpModel`: objective, CSR rows
-and their bounds, column upper bounds) to `scipy.optimize.milp` untouched;
-`backend.solve` calls it for `--solver builtin`. `solve_lp_file` reads an LP
-file that `lpformat.emit_lp_text` printed back into the same matrix
-(`lpformat.parse_lp_text`), solves it the same way and writes a CBC-style
-solution file (status line, then one row per variable: index, name, value,
-reduced cost), so an emitted LP can be solved and checked without the model.
+and their bounds, column upper bounds) to HiGHS through the bindings that
+scipy bundles, `scipy.optimize._highspy._core`; `backend.solve` calls it for
+`--solver builtin`. It sets each of `SETTINGS` by `setOptionValue`, passes
+the rows column-wise with every column binary to `passModel` as arrays, then
+calls `run`, `getInfo` and `getSolution`; the column values come back as
+one ndarray. These are the arrays that `scipy.optimize.milp` handed over
+before, without its Python loops over every column (an integrality list,
+bound marginals). The module is private to scipy, and only this one imports
+it: the golden digests of `tests/test_backend.py` lock what HiGHS receives,
+and the import fails at once if scipy moves it. `HighsOutcome.seconds`
+(`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
+solution read back, the column-wise copy of the rows included.
 
-Every solve runs with `SETTINGS` and its time limit: `mip_rel_gap` 0, so an
-optimal answer is a proven optimum, and HiGHS's feasibility-jump heuristic
+`solve_lp_file` reads an LP file that `lpformat.emit_lp_text` printed back
+into the same matrix (`lpformat.parse_lp_text`), solves it the same way and
+writes a CBC-style solution file (status line, then one row per variable:
+index, name, value, reduced cost), so an emitted LP can be solved and
+checked without the model.
+
+Every solve runs with `SETTINGS` and its time limit: no output, `mip_rel_gap`
+0, so an optimal answer is a proven optimum, and HiGHS's feasibility-jump heuristic
 (Luteberget & Sartor, Math. Prog. Comp. 2023) off. Feasibility jump is an
 LP-free local search that HiGHS runs before the root LP, and the equality
 flow-conservation rows of these models defeat it. On the ring14 QPSK seed-7
@@ -31,92 +43,102 @@ ends with no solution (751 with it).
 from __future__ import annotations
 
 import math
-import re
 import time
-import warnings
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+    kHighsInf,
+)
 
 from .backend import ERROR, INFEASIBLE, OPTIMAL, TIMELIMIT
 from .lpformat import parse_lp_text
 
-# scipy.optimize.milp status -> outcome status; any other is an error
-_STATUS = {0: OPTIMAL, 1: TIMELIMIT, 2: INFEASIBLE}
+# HiGHS model status -> outcome status; any other is an error
+_STATUS = {
+    HighsModelStatus.kOptimal: OPTIMAL,
+    HighsModelStatus.kInfeasible: INFEASIBLE,
+    HighsModelStatus.kTimeLimit: TIMELIMIT,
+    HighsModelStatus.kIterationLimit: TIMELIMIT,
+}
 
 
 class HighsOutcome(NamedTuple):
     status: str
-    values: Optional[list]  # one per column, None without a solution
+    values: Optional[np.ndarray]  # one per column, None without a solution
     objective: Optional[float]
     message: str  # why it failed; empty unless the status is error
     summary: str  # status, message, gap, bound, nodes and wall time, one a line
-    seconds: float  # wall time inside scipy.optimize.milp
+    seconds: float  # wall time from the first HiGHS call to the solution read back
     stats: dict  # STATS names -> HiGHS's value; None where it gave none
 
 
-# what HiGHS reports on its branch and bound, by scipy.optimize.milp's names
+# what HiGHS reports on its branch and bound, by its own names (HighsInfo)
 STATS = ("mip_node_count", "mip_gap", "mip_dual_bound")
 
-# HiGHS settings of every solve, besides its time limit: no relative gap, and
-# no feasibility jump (see the module docstring)
+# HiGHS settings of every solve, by HiGHS's option names, besides its time
+# limit: no output, no relative gap, and no feasibility jump (see the module
+# docstring)
 SETTINGS = MappingProxyType(
-    {"disp": False, "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
+    {"output_flag": False, "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
 )
-
-# scipy warns on every call that it passes keys it does not know itself
-# (feasibility jump's) to HiGHS verbatim; the warning is attributed to this
-# module, its caller. A test runner that resets the warning filters drops this
-# one, so `solve_highs` puts it back when it is missing. It is only ever
-# inserted, never removed and re-added, so a solve in another thread cannot
-# run while it is gone (warnings.catch_warnings is not thread-safe).
-warnings.filterwarnings(
-    "ignore", "Unrecognized options detected", RuntimeWarning, re.escape(__name__) + r"\Z"
-)
-_QUIET = warnings.filters[0]
 
 
 def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
     """Minimize c.x over binary x <= ub with lower <= a.x <= upper, by HiGHS
-    with `SETTINGS`. A solver exception is an `error` outcome with its text
-    as the message.
+    with `SETTINGS`. A setting or a model that HiGHS refuses, and a solver
+    exception, are `error` outcomes whose message says why.
     """
-    if _QUIET not in warnings.filters:
-        warnings.filters.insert(0, _QUIET)
-    n = len(c)
     start = time.perf_counter()
-    try:
-        res = milp(
-            c,
-            constraints=[LinearConstraint(a, lower, upper)],
-            integrality=np.ones(n),
-            bounds=Bounds(np.zeros(n), ub),
-            options={**SETTINGS, "time_limit": float(time_limit)},
-        )
-    except Exception as exc:  # a solver failure is an outcome, never a traceback
-        message = f"{type(exc).__name__}: {exc}"
-        summary = f"status: {ERROR}\nmessage: {message}\n"
-        seconds = time.perf_counter() - start
-        return HighsOutcome(ERROR, None, None, message, summary, seconds, dict.fromkeys(STATS))
-    seconds = time.perf_counter() - start
+    stats = dict.fromkeys(STATS)
+    model_status = ""
 
-    status = _STATUS.get(res.status, ERROR)
-    stats = {}
-    for name in STATS:  # a non-finite gap or bound (no incumbent yet) is none
-        value = res.get(name)
-        stats[name] = value if value is None or math.isfinite(value) else None
-    summary = (
-        f"status: {status} (scipy status {res.status})\nmessage: {res.message}\n"
-        + "".join(f"{name}: {value}\n" for name, value in stats.items())
-        + f"wall_seconds: {seconds:.6f}\n"
-    )
-    if status == ERROR:
-        return HighsOutcome(ERROR, None, None, res.message, summary, seconds, stats)
-    if status == INFEASIBLE or res.x is None:
-        return HighsOutcome(status, None, None, "", summary, seconds, stats)
-    return HighsOutcome(status, res.x.tolist(), float(res.fun), "", summary, seconds, stats)
+    def outcome(status, message="", values=None, objective=None) -> HighsOutcome:
+        seconds = time.perf_counter() - start
+        summary = (
+            f"status: {status}\nhighs_model_status: {model_status}\nmessage: {message}\n"
+            + "".join(f"{name}: {value}\n" for name, value in stats.items())
+            + f"wall_seconds: {seconds:.6f}\n"
+        )
+        return HighsOutcome(status, values, objective, message, summary, seconds, stats)
+
+    try:
+        highs = _Highs()
+        for name, value in {**SETTINGS, "time_limit": float(time_limit)}.items():
+            if highs.setOptionValue(name, value) != HighsStatus.kOk:
+                return outcome(ERROR, f"HiGHS refused the setting {name}={value!r}")
+        n = len(c)
+        cols = a.tocsc()  # HiGHS takes the rows column-wise, as scipy's milp passed them
+        if highs.passModel(
+            n, a.shape[0], cols.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize),
+            0.0, c, np.zeros(n), ub, lower, upper, cols.indptr.astype(np.int32),
+            cols.indices.astype(np.int32), cols.data,
+            np.full(n, int(HighsVarType.kInteger), dtype=np.int32),
+        ) == HighsStatus.kError:
+            return outcome(ERROR, "HiGHS refused the model")
+        run = highs.run()
+        code = highs.getModelStatus()
+        model_status = highs.modelStatusToString(code)
+        status = _STATUS.get(code, ERROR)
+        if run == HighsStatus.kError or status == ERROR:
+            return outcome(ERROR, f"HiGHS ended with model status {model_status}")
+        info = highs.getInfo()
+        if status == INFEASIBLE or info.objective_function_value == kHighsInf:
+            return outcome(status)  # no solution, or no incumbent at the time limit
+        for name in STATS:  # a non-finite gap or bound is none
+            value = getattr(info, name)
+            stats[name] = value if math.isfinite(value) else None
+        values = np.asarray(highs.getSolution().col_value)
+        return outcome(status, values=values, objective=info.objective_function_value)
+    except Exception as exc:  # a solver failure is an outcome, never a traceback
+        return outcome(ERROR, f"{type(exc).__name__}: {exc}")
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
@@ -135,7 +157,8 @@ def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:
     else:
         header = f"Error - {outcome.message}"
     lines = [header]
-    for i, (name, value) in enumerate(zip(names, outcome.values or ())):
+    values = outcome.values if outcome.values is not None else ()
+    for i, (name, value) in enumerate(zip(names, values)):
         lines.append(f"{i:7d} {name} {value:.12g} 0")
     with open(sol_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -187,4 +187,4 @@ def parse_lp_text(text: str):
         ub[index[toks[0]]] = 0.0
 
     a, lower, upper = rows.matrix(len(names))
-    return names, c, a, lower, upper, ub, tuple(rows.names)
+    return names, c, a, lower, upper, ub, rows.names

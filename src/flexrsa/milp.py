@@ -28,13 +28,15 @@ window); ``maxsubset`` adds selector variables y[d] and maximizes how many
 demands are routed by rewarding each selected demand more than any flow could
 cost.
 
-The builder is a pure function that writes the solver matrix directly: the
-column keys, an objective vector, column upper bounds, one CSR row matrix with
-row bounds, and a name per row. Columns come out in demand, link, direction
-(forward first), color order, then the selectors; in ``base`` and ``notrim``
-both directions of a link have the same colors. The columns are a table of
-arrays (demand, link, direction, color), read off a mask over those four
-axes that holds only the arcs with columns. Rows come family by family, each
+The builder is a pure function that writes the solver matrix directly: an
+objective vector, column upper bounds, and one CSR row matrix with row
+bounds. Columns come out in demand, link, direction (forward first), color
+order, then the selectors; in ``base`` and ``notrim`` both directions of a
+link have the same colors. The columns are a table of arrays (demand, link,
+direction, color), read off sorted flat indices of the trimmed arcs (a mask
+over those four axes for ``base`` and ``notrim``), so only the arcs with
+columns are visited. The model keeps the table, with the selectors' demand
+ids, and the number of rows of each family. Rows come family by family, each
 family in sorted demand/link/color order. The flow, source, reach and
 unicolor families are written as column blocks: each family's terms are
 derived from the column table as arrays, sorted once into row order and term
@@ -43,15 +45,21 @@ and ``notrim`` go one by one through `Rows.add`. `Rows` is the one way from
 rows to a CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file
 through it too. The builder reads the network's own index form (link `ends`,
 `node_index`, `link_index`), and the notrim windows and the base variant's
-fixed columns come from `OpticalNetwork.free`. The per-row dict view
-(`MilpModel.constraints`) is derived from the arrays only when something
-reads it.
+fixed columns come from `OpticalNetwork.free`.
+
+A solve reads the arrays alone: its column count is len(c), a maxsubset
+answer's restored count is the chosen columns of negative cost, and
+extraction asks `MilpModel.keys` for the keys of the chosen columns only.
+The column keys (`MilpModel.variables`), the row names and the per-row dict
+view (`MilpModel.constraints`) are derived from the kept arrays only when
+something reads them: the LP printer, the `trim` command and tests. Each
+family block keeps the arrays its names are made from, not the names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -106,6 +114,18 @@ def row_relation(lower: float, upper: float):
     return "=", lower
 
 
+def _named(template: str, *columns) -> list:
+    """template.format(*row) for each row of the parallel arrays `columns`:
+    the names of a block of rows, made when they are read."""
+    return [template.format(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _joined_names(parts) -> tuple:
+    """The row names of `Rows.parts`, in order: lists of names, and the
+    callables that give a block's names."""
+    return tuple(chain.from_iterable(p() if callable(p) else p for p in parts))
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """One row: sum(coeffs[v] * v) relation rhs, named by its provenance tag."""
@@ -119,21 +139,33 @@ class LinearConstraint:
 class Rows:
     """Rows, in order, to a CSR matrix with row bounds and names.
 
-    `add` appends one row: it keeps the terms in the order given, merges a
-    repeated column into its first occurrence and drops zero terms; a row
-    left without terms is kept. `block` appends a whole family of rows from
-    term arrays sorted by row, as given; it refuses a row that repeats a
-    column or carries a zero term, and keeps a row without terms.
+    `add` appends one named row: it keeps the terms in the order given,
+    merges a repeated column into its first occurrence and drops zero terms;
+    a row left without terms is kept. `block` appends a whole family of rows
+    from term arrays sorted by row, as given; it refuses a row that repeats a
+    column or carries a zero term, and keeps a row without terms. A block's
+    row names are derived only when `names` is read; `families` counts the
+    rows of each family as they are appended.
     """
 
     def __init__(self) -> None:
-        self.names: list = []
+        self.parts: list = []  # the names: lists of them, and a callable per block
+        self.families: dict = {}  # row family -> rows
         self.lower: list = []
         self.upper: list = []
         self.counts: list = []  # terms per row
         self.chunks: list = []  # (columns, values) arrays, in row order
         self.cols: list = []  # terms of the rows added since the last chunk
         self.vals: list = []
+
+    @property
+    def names(self) -> tuple:
+        """The row names, in row order."""
+        return _joined_names(self.parts)
+
+    def _count(self, family: str, rows: int) -> None:
+        if rows:
+            self.families[family] = self.families.get(family, 0) + int(rows)
 
     def add(self, name: str, cols: list, vals: list, relation: str, rhs) -> None:
         if len(set(cols)) < len(cols):
@@ -147,32 +179,41 @@ class Rows:
         self.cols += cols
         self.vals += vals
         self.counts.append(len(cols))
-        self.names.append(name)
+        if not self.parts or callable(self.parts[-1]):
+            self.parts.append([])
+        self.parts[-1].append(name)
+        self._count(row_family(name), 1)
         self.lower.append(-np.inf if relation == "<=" else rhs)
         self.upper.append(np.inf if relation == ">=" else rhs)
 
-    def block(self, names: list, row, cols, vals, relation: str, rhs) -> None:
-        """Rows `names`, all with one relation; rhs is one value or one per
-        row. Term k is cols[k] with value vals[k] in row row[k] of the block;
-        the terms are sorted by row, and a row's terms are in order."""
+    def block(self, families: dict, names, row, cols, vals, relation: str, rhs) -> None:
+        """Rows all with one relation, as many per family as `families`
+        says; names() gives their names in row order, and rhs is one value
+        or one per row. Term k is cols[k] with value vals[k] in row row[k]
+        of the block; the terms are sorted by row, and a row's terms are in
+        order."""
+        count = sum(families.values())
         row = np.asarray(row, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        if len(row) and (row[0] < 0 or row[-1] >= len(names) or np.any(row[1:] < row[:-1])):
-            raise ValueError(f"block {names[:1]}: terms not sorted into its rows")
+        first = next(iter(families), "")
+        if len(row) and (row[0] < 0 or row[-1] >= count or np.any(row[1:] < row[:-1])):
+            raise ValueError(f"block {first}: terms not sorted into its rows")
         if np.any(vals == 0):
-            raise ValueError(f"block {names[:1]}: a zero term")
+            raise ValueError(f"block {first}: a zero term")
         if len(cols):
             terms = np.sort(row * (int(cols.max()) + 1) + cols)
             if np.any(terms[1:] == terms[:-1]):
-                raise ValueError(f"block {names[:1]}: a row repeats a column")
+                raise ValueError(f"block {first}: a row repeats a column")
         self._chunk()
         self.chunks.append((cols, vals))
-        self.counts += np.bincount(row, minlength=len(names)).tolist()
-        self.names += names
-        bound = np.broadcast_to(np.asarray(rhs, dtype=np.float64), len(names)).tolist()
-        self.lower += [-np.inf] * len(names) if relation == "<=" else bound
-        self.upper += [np.inf] * len(names) if relation == ">=" else bound
+        self.counts += np.bincount(row, minlength=count).tolist()
+        self.parts.append(names)
+        for family, rows in families.items():
+            self._count(family, rows)
+        bound = np.broadcast_to(np.asarray(rhs, dtype=np.float64), count).tolist()
+        self.lower += [-np.inf] * count if relation == "<=" else bound
+        self.upper += [np.inf] * count if relation == ">=" else bound
 
     def _chunk(self) -> None:
         if self.cols:
@@ -193,7 +234,7 @@ class Rows:
                 np.concatenate([c for c, _ in self.chunks] or [np.zeros(0, np.int64)]),
                 indptr,
             ),
-            shape=(len(self.names), n_cols),
+            shape=(len(self.counts), n_cols),
         )
         return (
             a,
@@ -206,20 +247,54 @@ class Rows:
 class MilpModel:
     """minimize c.x subject to lower <= a.x <= upper, x binary, x <= ub.
 
-    variables: the column keys, in column order. ub is 0 for a column fixed
-    at zero and 1 otherwise. row_names: one provenance tag per row of a.
-    Objective coefficients are integers.
+    The flow or window columns come first, one per entry of the column
+    table: `demand` and `link` (ids), `forward` and `color` (a window's first
+    color) arrays. In maxsubset mode a selector column follows per entry of
+    `selectors` (demand ids). ub is 0 for a column fixed at zero and 1
+    otherwise. Objective coefficients are integers. `families` counts the
+    rows of each family, and `name_parts` holds the row names as `Rows`
+    does. The column keys (`variables`), the row names (`row_names`) and the
+    per-row view (`constraints`) are derived only when read; `keys` derives
+    the keys of some columns alone.
     """
 
     variant: str
     mode: str
-    variables: tuple
     c: np.ndarray
     ub: np.ndarray
     a: sparse.csr_array
     lower: np.ndarray
     upper: np.ndarray
-    row_names: tuple
+    demand: np.ndarray
+    link: np.ndarray
+    forward: np.ndarray
+    color: np.ndarray
+    selectors: np.ndarray
+    families: dict
+    name_parts: tuple
+
+    def keys(self, cols) -> list:
+        """The keys of the columns `cols`: flow or window keys first, then
+        selector keys, each in the order given."""
+        cols = np.asarray(cols, dtype=np.int64)
+        n = len(self.color)
+        at = cols[cols < n]
+        kind = WindowVar if self.variant == "trimmed" else FlowVar
+        return [
+            *map(kind, self.demand[at].tolist(), self.link[at].tolist(),
+                 self.forward[at].tolist(), self.color[at].tolist()),
+            *map(SelectVar, self.selectors[cols[cols >= n] - n].tolist()),
+        ]
+
+    @cached_property
+    def variables(self) -> tuple:
+        """The column keys, in column order."""
+        return tuple(self.keys(np.arange(len(self.c))))
+
+    @cached_property
+    def row_names(self) -> tuple:
+        """One provenance tag per row of a."""
+        return _joined_names(self.name_parts)
 
     @cached_property
     def constraints(self) -> tuple:
@@ -240,20 +315,16 @@ class MilpModel:
 
 def model_statistics(model: MilpModel) -> dict:
     """The model's column and row counts, as `meta.model` reports them."""
-    by_family: dict = {}
-    for name in model.row_names:
-        family = row_family(name)
-        by_family[family] = by_family.get(family, 0) + 1
-    select = int(np.count_nonzero(model.c < 0))  # only selectors have negative cost
+    n, select = len(model.c), len(model.selectors)
     return {
         "variant": model.variant,
         "mode": model.mode,
-        "variables": len(model.variables),
-        "arc_variables": len(model.variables) - select,  # flow or window columns
+        "variables": n,
+        "arc_variables": n - select,  # flow or window columns
         "select_variables": select,
         "fixed_zero": int(np.count_nonzero(model.ub == 0)),
-        "constraints": len(model.row_names),
-        "by_family": dict(sorted(by_family.items())),
+        "constraints": model.a.shape[0],
+        "by_family": dict(sorted(model.families.items())),
     }
 
 
@@ -332,12 +403,7 @@ def build_model(
     col = np.arange(n_flow)
     d_ids = np.array([d.id for d in demands], dtype=np.int64)
     l_ids = np.array([l.id for l in links], dtype=np.int64)
-    key = WindowVar if windows else FlowVar
-    variables = list(map(
-        key, d_ids[di].tolist(), l_ids[li].tolist(), (side == 0).tolist(), color.tolist()
-    ))
-    if mode == "maxsubset":
-        variables.extend(SelectVar(d.id) for d in demands)
+    selectors = d_ids if mode == "maxsubset" else d_ids[:0]
 
     # a window covers the demand's width and carries it once; a flow column
     # covers one color and carries a width-th of it
@@ -361,13 +427,14 @@ def build_model(
     order = _order((f_d, f_c, f_node, f_in, f_l), (n_d, slots + 1, n_v, 2, n_l))
     f_d, f_c, f_node, f_in, f_col = (x[order] for x in (f_d, f_c, f_node, f_in, f_col))
     starts = _starts(f_d, f_c, f_node)
-    tag = "w" if windows else "c"
-    names = [
-        f"flow_d{d}_{tag}{c}_n{node}"
-        for d, c, node in zip(d_ids[f_d[starts]].tolist(), f_c[starts].tolist(),
-                              f_node[starts].tolist())
-    ]
-    rows.block(names, np.cumsum(starts) - 1, f_col, 1 - 2 * f_in, "=", 0)
+    names = partial(
+        _named, "flow_d{}_" + ("w" if windows else "c") + "{}_n{}",
+        d_ids[f_d[starts]], f_c[starts], f_node[starts],
+    )
+    rows.block(
+        {"flow": np.count_nonzero(starts)}, names, np.cumsum(starts) - 1, f_col,
+        1 - 2 * f_in, "=", 0,
+    )
 
     # source rows, per demand: out-flow equals width (or width * y) in
     # colors, that is one window (or y), by color then column; in-flow zero.
@@ -389,11 +456,12 @@ def build_model(
     kept[0::2] = True
     kept[src_row] = True
     kept = np.flatnonzero(kept)
-    names = [f"{('srcout', 'srcin')[k % 2]}_d{d_ids[k // 2]}" for k in kept.tolist()]
+    names = partial(_named, "{}_d{}", np.array(["srcout", "srcin"])[kept % 2], d_ids[kept // 2])
     rhs = 0 if mode == "maxsubset" else units[kept // 2]
     rows.block(
-        names, np.searchsorted(kept, src_row[order]), src_col[order],
-        src_val[order], "=", np.where(kept % 2, 0, rhs),
+        {"srcout": n_d, "srcin": len(kept) - n_d}, names,
+        np.searchsorted(kept, src_row[order]), src_col[order], src_val[order], "=",
+        np.where(kept % 2, 0, rhs),
     )
 
     # reachability: occupied length is at most reach * width in colors, that
@@ -403,8 +471,9 @@ def build_model(
     starts = _starts(di[on])
     reached = di[on][starts].tolist()
     rows.block(
-        [f"reach_d{d_ids[k]}" for k in reached], np.cumsum(starts) - 1,
-        col[on], lengths[on], "<=", [demands[k].reach * units[k] for k in reached],
+        {"reach": len(reached)}, partial(_named, "reach_d{}", d_ids[reached]),
+        np.cumsum(starts) - 1, col[on], lengths[on], "<=",
+        [demands[k].reach * units[k] for k in reached],
     )
 
     # unicolor: a (link, color) slot carries at most one demand, one
@@ -415,10 +484,11 @@ def build_model(
     u_col, u_c = u_col[order], u_c[order]
     u_l = li[u_col]
     starts = _starts(u_l, u_c)
-    names = [
-        f"uni_l{l}_c{c}" for l, c in zip(l_ids[u_l[starts]].tolist(), u_c[starts].tolist())
-    ]
-    rows.block(names, np.cumsum(starts) - 1, u_col, np.ones(len(u_col)), "<=", 1)
+    names = partial(_named, "uni_l{}_c{}", l_ids[u_l[starts]], u_c[starts])
+    rows.block(
+        {"uni": np.count_nonzero(starts)}, names, np.cumsum(starts) - 1, u_col,
+        np.ones(len(u_col)), "<=", 1,
+    )
     # exceeds any flow's cost: a slot carries at most one demand, so the
     # flow cost is at most the count of distinct (demand, link, color) slots
     # that the columns cover
@@ -467,7 +537,7 @@ def build_model(
                         vals.append(1)
                     rows.add(f"ctgC_{tag}_c{c}", terms, vals, ">=", 0)
 
-    n = len(variables)
+    n = n_flow + len(selectors)
     c_vec = np.zeros(n)
     c_vec[:n_flow] = span
     c_vec[n_flow:] = -big_m
@@ -479,11 +549,16 @@ def build_model(
     return MilpModel(
         variant=variant,
         mode=mode,
-        variables=tuple(variables),
         c=c_vec,
         ub=ub,
         a=a,
         lower=lower,
         upper=upper,
-        row_names=tuple(rows.names),
+        demand=d_ids[di],
+        link=l_ids[li],
+        forward=side == 0,
+        color=color,
+        selectors=selectors,
+        families=rows.families,
+        name_parts=tuple(rows.parts),
     )

@@ -299,13 +299,13 @@ def oracle_useful_triples(
 ) -> UsefulTripleSet:
     """Brute-force usefulness; must coincide with trimming.compute_useful_triples.
 
-    Its arc first colors are exact: the arcs that the simple paths of
+    The walks give each link's first colors; the useful triples follow from
+    them and the widths (`UsefulTripleSet.useful`), as trimming's do. Its arc first colors are exact: the arcs that the simple paths of
     `candidate_routings` traverse, in walk order, at their first colors.
     Trimming's arc test keeps a superset of them.
     """
     guard.check(instance, walks=True)
     net = instance.network
-    useful = set()
     first_colors: dict = {}
     arc_first: dict = {}
     valid_first: dict = {}
@@ -336,18 +336,16 @@ def oracle_useful_triples(
             for link_id in marked:
                 key = (demand.id, link_id)
                 first_colors.setdefault(key, set()).add(c0)
-                for c in needed:
-                    useful.add((demand.id, link_id, c))
         valid_first[demand.id] = frozenset(valid)
         if not valid:
             non_reroutable.add(demand.id)
 
     return UsefulTripleSet(
-        useful=frozenset(useful),
         first_colors={k: frozenset(v) for k, v in first_colors.items()},
         valid_first_colors=valid_first,
         non_reroutable=frozenset(non_reroutable),
         arc_first_colors={k: frozenset(v) for k, v in arc_first.items()},
+        widths={d.id: d.width for d in instance.demands},
     )
 
 

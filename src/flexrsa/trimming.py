@@ -6,7 +6,9 @@ of colors {c .. c+w_d-1}; surviving edges contribute c to the per-link first
 color set and the whole range to the useful triple set. Demands whose every
 range graph leaves t_d out of reach are non re-routable, which alone proves
 the instance infeasible. These sets are the paper's, and the `trim` command
-prints them.
+prints them. The scan records the first colors only: the useful triple set
+(`UsefulTripleSet.useful`) follows from them and the demands' widths, and is
+derived only when read, since the MILP builder never reads it.
 
 The same scan also trims arcs, one direction of a link, for the `trimmed`
 MILP. An arc a->b keeps first color c iff b != s_d, a != t_d and
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -63,7 +65,6 @@ class UsefulTripleSet:
     """Trimming output.
 
     Attributes:
-        useful: Undirected useful triples (demand_id, link_id, color).
         first_colors: (demand_id, link_id) -> colors that can start the
             demand's range on that link (C_dl). Links with no entry have none.
         valid_first_colors: demand_id -> colors c whose range graph contains a
@@ -73,13 +74,28 @@ class UsefulTripleSet:
             which the arc (u -> v if forward, else v -> u) lies on a
             reach-feasible simple s-t path of c's range graph, by the arc
             test above; a subset of the link's first colors.
+        widths: demand_id -> width.
+
+    The undirected useful triples (`useful`) are derived from the first
+    colors and the widths only when read.
     """
 
-    useful: frozenset
     first_colors: Mapping
     valid_first_colors: Mapping
     non_reroutable: frozenset
     arc_first_colors: Mapping
+    widths: Mapping
+
+    @cached_property
+    def useful(self) -> frozenset:
+        """Undirected useful triples (demand_id, link_id, color): each color
+        of every window that starts at one of a link's first colors."""
+        return frozenset(
+            (d, l, c + i)
+            for (d, l), colors in self.first_colors.items()
+            for c in colors
+            for i in range(self.widths[d])
+        )
 
     def first_colors_of(self, demand_id: int, link_id: int) -> frozenset:
         return self.first_colors.get((demand_id, link_id), frozenset())
@@ -205,7 +221,6 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
     adj, ends, node_index = net.adj, net.ends, net.node_index
     lengths = [l.length for l in net.links]
 
-    useful = set()
     first_colors: dict = {}
     arc_first: dict = {}
     valid_first: dict = {}
@@ -275,18 +290,16 @@ def compute_useful_triples(instance: RestorationInstance) -> UsefulTripleSet:
                 continue
             link_id = net.links[e].id
             first_colors[(demand.id, link_id)] = frozenset(cols)
-            covered = {c + i for c in cols for i in range(w)} if w > 1 else cols
-            useful.update(zip(repeat(demand.id), repeat(link_id), covered))
             for forward, arc_cols in ((True, fwd_cols), (False, bwd_cols)):
                 if arc_cols:
                     arc_first[(demand.id, link_id, forward)] = frozenset(arc_cols)
 
     return UsefulTripleSet(
-        useful=frozenset(useful),
         first_colors=first_colors,
         valid_first_colors=valid_first,
         non_reroutable=frozenset(non_reroutable),
         arc_first_colors=arc_first,
+        widths={d.id: d.width for d in instance.demands},
     )
 
 

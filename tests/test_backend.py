@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import OptimizeWarning
+from scipy.optimize._highspy._core import HighsVarType, MatrixFormat, ObjSense
 
 import flexrsa
 from flexrsa.backend import (
@@ -25,7 +27,7 @@ from flexrsa.backend import (
     solve,
 )
 from flexrsa.io import load_instance, save_instance
-from flexrsa.lp_driver import solve_highs, solve_lp_file
+from flexrsa.lp_driver import SETTINGS, _Highs, solve_highs, solve_lp_file
 from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import WindowVar, build_model
 from flexrsa.model import RestorationInstance
@@ -89,10 +91,11 @@ class TestBuiltinSolver:
         assert out.objective == 2
 
     def test_solver_exception_is_error_outcome(self, t1, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("bad matrix")
+        class Broken(_Highs):
+            def passModel(self, *args):
+                raise ValueError("bad matrix")
 
-        monkeypatch.setattr("flexrsa.lp_driver.milp", broken)
+        monkeypatch.setattr("flexrsa.lp_driver._Highs", Broken)
         out = solve(trimmed(t1), BUILTIN)
         assert out.status == ERROR
         assert out.message == "ValueError: bad matrix"
@@ -138,21 +141,37 @@ class TestBuiltinSolver:
 
 
 def highs_input(model, monkeypatch):
-    """The arrays and settings that the builtin solve hands to scipy's milp
-    for the model."""
-    seen = {}
+    """The arrays and settings that the builtin solve hands to HiGHS for the
+    model. HiGHS takes the rows column-wise; the matrix is checked to be the
+    model's rows and returned as the model's CSR arrays, whose order within
+    a row the digests lock too."""
+    seen = {"options": {}}
 
-    def capture(c, constraints, integrality, bounds, options):
-        (rows,) = constraints
-        seen.update(
-            c=c, indptr=rows.A.indptr, indices=rows.A.indices, data=rows.A.data,
-            lower=rows.lb, upper=rows.ub, ub=bounds.ub, options=dict(options),
-        )
-        raise RuntimeError("captured")
+    class Capture(_Highs):
+        def setOptionValue(self, name, value):
+            seen["options"][name] = value
+            return super().setOptionValue(name, value)
 
-    monkeypatch.setattr("flexrsa.lp_driver.milp", capture)
+        def passModel(self, *args):
+            seen["args"] = args
+            raise RuntimeError("captured")
+
+    monkeypatch.setattr("flexrsa.lp_driver._Highs", Capture)
     solve(model, BUILTIN)
     monkeypatch.undo()
+    (n, m, nnz, form, sense, offset, c, lower_x, ub, lower, upper,
+     start, index, value, integrality) = seen.pop("args")
+    assert (n, m, nnz) == (len(model.c), *model.a.shape[:1], model.a.nnz)
+    assert (form, sense, offset) == (int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0)
+    assert lower_x.tolist() == [0.0] * n
+    assert integrality.tolist() == [int(HighsVarType.kInteger)] * n
+    cols = sparse.csc_array((value, index, start), shape=model.a.shape)
+    assert cols.has_canonical_format
+    assert (cols != model.a).nnz == 0
+    seen.update(
+        c=c, indptr=model.a.indptr, indices=model.a.indices, data=model.a.data,
+        lower=lower, upper=upper, ub=ub,
+    )
     return seen
 
 
@@ -245,17 +264,28 @@ class TestHighsInputGolden:
 
 class TestHighsSettings:
     def test_exact_settings(self, t1, monkeypatch):
-        # one fixed set for every solve; only the time limit comes from the config
+        # one fixed set for every solve, by HiGHS's option names; only the
+        # time limit comes from the config
         assert highs_input(trimmed(t1), monkeypatch)["options"] == {
-            "disp": False,
+            "output_flag": False,
             "mip_rel_gap": 0.0,
             "mip_heuristic_run_feasibility_jump": False,
             "time_limit": 60.0,
         }
 
+    @pytest.mark.parametrize(
+        "name, value", [("bogus_setting", 1), ("mip_rel_gap", "none")],
+        ids=["unknown", "wrong-type"],
+    )
+    def test_refused_setting_is_error_outcome(self, t1, monkeypatch, name, value):
+        monkeypatch.setattr("flexrsa.lp_driver.SETTINGS", {**SETTINGS, name: value})
+        out = solve(trimmed(t1), BUILTIN)
+        assert out.status == ERROR
+        assert out.message == f"HiGHS refused the setting {name}={value!r}"
+
     def test_highs_knows_every_setting(self, t4):
-        # HiGHS warns (OptimizeWarning) about a key it does not know, and
-        # ignores it; as an error here it fails the solve
+        # HiGHS refuses a setting it does not know (an error outcome), and
+        # scipy warns nothing (OptimizeWarning would fail here)
         model = build_model(t4, None, "notrim")
         with warnings.catch_warnings():
             warnings.simplefilter("error", OptimizeWarning)
@@ -263,9 +293,8 @@ class TestHighsSettings:
         assert (outcome.status, outcome.message) == (OPTIMAL, "")
 
     def test_scipy_note_stays_silent_after_a_filter_reset(self, t4):
-        # scipy notes (RuntimeWarning) on every call that it passes the keys
-        # it does not know on verbatim; the solve silences it again after a
-        # test runner's reset drops every filter, its own included
+        # the solve warns nothing, also once a test runner's reset has
+        # dropped every warning filter
         model = build_model(t4, None, "notrim")
         with warnings.catch_warnings(record=True) as caught:
             warnings.resetwarnings()

@@ -10,6 +10,7 @@ import pytest
 
 import flexrsa
 from flexrsa import cli
+from flexrsa.backend import SolverConfig
 from flexrsa.cli import main
 from flexrsa.extract import ExtractionError, extract_paths
 from flexrsa.io import instance_to_dict, save_instance
@@ -231,6 +232,17 @@ class TestSolve:
             objectives[command[0]] = doc["objective"]
         assert objectives == {"solve": 1, "oracle": 1}
 
+    def test_no_demands_objective_is_the_integer_zero(self, t1, tmp_path):
+        # as every other optimal answer's, and the oracle's
+        path = tmp_path / "empty.json"
+        save_instance(RestorationInstance(t1.network, ()), str(path))
+        out = tmp_path / "sol.json"
+        assert main(["solve", str(path), "--solver", "builtin", "-o", str(out)]) == 0
+        doc = read_json(out)
+        assert (doc["status"], doc["meta"]["solver_name"]) == ("optimal", "trivial")
+        assert doc["objective"] == 0 and type(doc["objective"]) is int
+        assert '"objective": 0,' in out.read_text()
+
     def test_trim_shortcut_skips_solver(self, t1_low_file, tmp_path):
         # a failing command template proves the solver was never invoked
         out = tmp_path / "sol.json"
@@ -254,6 +266,35 @@ class TestSolve:
             assert code == 0
             objectives[variant] = read_json(out)["objective"]
         assert len(set(objectives.values())) == 1
+
+
+class TestAnswerDerivesNothingItDoesNotRead:
+    @pytest.mark.parametrize(
+        "fixture, mode", [("t1", "feasibility"), ("t3", "maxsubset")],
+        ids=["feasible", "maxsubset"],
+    )
+    def test_no_keys_names_or_triples(self, request, monkeypatch, fixture, mode):
+        # trim -> build -> solve -> extract -> verify reads the column table
+        # and the arrays only; the keys, row names, per-row view and useful
+        # triples are derived when something else reads them
+        made = {}
+        for name in ("compute_useful_triples", "build_model"):
+            def keep(*args, _name=name, _fn=getattr(cli, name)):
+                made[_name] = _fn(*args)
+                return made[_name]
+
+            monkeypatch.setattr(cli, name, keep)
+        doc = cli.answer(
+            request.getfixturevalue(fixture), "trimmed", mode,
+            SolverConfig(solver="builtin", time_limit=60),
+        )
+        assert (doc["status"], doc["meta"]["verified"]) == ("optimal", True)
+        model, triples = made["build_model"], made["compute_useful_triples"]
+        assert not {"variables", "row_names", "constraints"} & set(vars(model))
+        assert "useful" not in vars(triples)
+        assert len(model.constraints) == len(model.row_names) == model.a.shape[0]
+        assert len(model.variables) == len(model.c)
+        assert triples.useful
 
 
 class TestReachPolicy:
@@ -688,6 +729,18 @@ class TestVersionAndErrors:
         value = float(reach)
         assert capsys.readouterr().err == (
             f"error: demand #0 (id=1): reach {value} must be finite and positive\n"
+        )
+
+    def test_loader_checks_a_color_range_before_expanding_it(self, t1, tmp_path, capsys):
+        # the range used to become a set of a million colors before the
+        # spectrum check refused its first color past slot_count
+        doc = instance_to_dict(t1)
+        doc["links"][1]["colors"] = [1, [1, 10**6]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--solver", "builtin"]) == 1
+        assert capsys.readouterr().err == (
+            "error: /links/1/colors/1: color range [1, 1000000] outside 1..2\n"
         )
 
     def test_version(self, capsys):

@@ -233,22 +233,23 @@ class TestRows:
         assert a.data.tolist() == [-2.0, 1.0, 2.5]
         assert lower.tolist() == [0.0, 4.0, -np.inf]
         assert upper.tolist() == [np.inf, 4.0, 7.5]
-        assert rows.names == ["a", "b", "c"]
+        assert rows.names == ("a", "b", "c")
+        assert rows.families == {"a": 1, "b": 1, "c": 1}
 
     def test_blocks_and_single_rows_keep_their_order(self):
         rows = Rows()
         rows.add("a", [2], [1], ">=", 0)
         # row "b" has no terms and is kept; the terms of "c" stay in order
-        rows.block(["b", "c"], [1, 1], [2, 0], [1, -1], "=", [4, 0])
+        rows.block({"b": 1, "c": 1}, lambda: ["b", "c"], [1, 1], [2, 0], [1, -1], "=", [4, 0])
         rows.add("d", [1, 1], [1, 1], "<=", 7.5)
-        rows.block(["e"], [0], [0], [3.5], "<=", 1)
+        rows.block({"e": 1}, lambda: ["e"], [0], [0], [3.5], "<=", 1)
         a, lower, upper = rows.matrix(3)
         assert a.indptr.tolist() == [0, 1, 1, 3, 4, 5]
         assert a.indices.tolist() == [2, 2, 0, 1, 0]
         assert a.data.tolist() == [1.0, 1.0, -1.0, 2.0, 3.5]
         assert lower.tolist() == [0.0, 4.0, 0.0, -np.inf, -np.inf]
         assert upper.tolist() == [np.inf, 4.0, 0.0, 7.5, 1.0]
-        assert rows.names == ["a", "b", "c", "d", "e"]
+        assert rows.names == ("a", "b", "c", "d", "e")
 
     @pytest.mark.parametrize(
         "row, cols, vals",
@@ -262,7 +263,7 @@ class TestRows:
     )
     def test_block_refuses_malformed_terms(self, row, cols, vals):
         with pytest.raises(ValueError):
-            Rows().block(["a", "b"], row, cols, vals, "=", 0)
+            Rows().block({"a": 2}, lambda: ["a_1", "a_2"], row, cols, vals, "=", 0)
 
 
 class TestDerivedRows:

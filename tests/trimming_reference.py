@@ -62,7 +62,6 @@ def reference_useful_triples(instance) -> UsefulTripleSet:
     adj, ends, node_index = net.adj, net.ends, net.node_index
     lengths = [l.length for l in net.links]
 
-    useful = set()
     first_colors: dict = {}
     arc_first: dict = {}
     valid_first: dict = {}
@@ -90,17 +89,14 @@ def reference_useful_triples(instance) -> UsefulTripleSet:
             if not cols:
                 continue
             first_colors[(demand.id, link.id)] = frozenset(cols)
-            for c in cols:
-                for cc in range(c, c + demand.width):
-                    useful.add((demand.id, link.id, cc))
             for forward, arc_cols in ((True, fwd_cols), (False, bwd_cols)):
                 if arc_cols:
                     arc_first[(demand.id, link.id, forward)] = frozenset(arc_cols)
 
     return UsefulTripleSet(
-        useful=frozenset(useful),
         first_colors=first_colors,
         valid_first_colors=valid_first,
         non_reroutable=frozenset(non_reroutable),
         arc_first_colors=arc_first,
+        widths={d.id: d.width for d in instance.demands},
     )
