@@ -117,7 +117,7 @@ def row_relation(lower: float, upper: float):
 def _named(template: str, *columns) -> list:
     """template.format(*row) for each row of the parallel arrays `columns`:
     the names of a block of rows, made when they are read."""
-    return [template.format(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(map(template.format, *(c.tolist() for c in columns)))
 
 
 def _joined_names(parts) -> tuple:

@@ -300,7 +300,8 @@ def oracle_useful_triples(
     """Brute-force usefulness; must coincide with trimming.compute_useful_triples.
 
     The walks give each link's first colors; the useful triples follow from
-    them and the widths (`UsefulTripleSet.useful`), as trimming's do. Its arc first colors are exact: the arcs that the simple paths of
+    them and the widths (`UsefulTripleSet.useful`), as trimming's do. Its
+    arc first colors are exact: the arcs that the simple paths of
     `candidate_routings` traverse, in walk order, at their first colors.
     Trimming's arc test keeps a superset of them.
     """

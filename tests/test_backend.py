@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeWarning
-from scipy.optimize._highspy._core import HighsVarType, MatrixFormat, ObjSense
 
 import flexrsa
 from flexrsa.backend import (
@@ -27,7 +26,15 @@ from flexrsa.backend import (
     solve,
 )
 from flexrsa.io import load_instance, save_instance
-from flexrsa.lp_driver import SETTINGS, _Highs, solve_highs, solve_lp_file
+from flexrsa.lp_driver import (
+    SETTINGS,
+    HighsVarType,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+    solve_highs,
+    solve_lp_file,
+)
 from flexrsa.lpformat import emit_lp_text
 from flexrsa.milp import WindowVar, build_model
 from flexrsa.model import RestorationInstance

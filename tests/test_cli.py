@@ -732,8 +732,7 @@ class TestVersionAndErrors:
         )
 
     def test_loader_checks_a_color_range_before_expanding_it(self, t1, tmp_path, capsys):
-        # the range used to become a set of a million colors before the
-        # spectrum check refused its first color past slot_count
+        # refused on its ends, before a million colors are expanded
         doc = instance_to_dict(t1)
         doc["links"][1]["colors"] = [1, [1, 10**6]]
         path = tmp_path / "bad.json"
