@@ -20,11 +20,11 @@ writes a CBC-style solution file (status line, then one row per variable:
 index, name, value, reduced cost), so an emitted LP can be solved and
 checked without the model.
 
-Every solve runs with `SETTINGS` and its time limit: no output, `mip_rel_gap`
-0, so an optimal answer is a proven optimum, and HiGHS's feasibility-jump heuristic
-(Luteberget & Sartor, Math. Prog. Comp. 2023) off. Feasibility jump is an
-LP-free local search that HiGHS runs before the root LP, and the equality
-flow-conservation rows of these models defeat it. On the ring14 QPSK seed-7
+Every solve runs with `SETTINGS` and its time limit: no output,
+`mip_rel_gap` 0, so an optimal answer is a proven optimum, and HiGHS's
+feasibility-jump heuristic (Luteberget & Sartor, Math. Prog. Comp. 2023)
+off. Feasibility jump is an LP-free local search that HiGHS runs before the
+root LP, and the equality flow-conservation rows of these models defeat it. On the ring14 QPSK seed-7
 link-1 break it returns 188 where the root node closes at 160, and HiGHS then
 runs a sub-MIP to reach 160; without it, rounding the root LP finds 160 at
 once. A cold `flexrsa solve` of that break then spends 0.57-0.61 s in HiGHS
@@ -75,7 +75,7 @@ class HighsOutcome(NamedTuple):
     values: Optional[np.ndarray]  # one per column, None without a solution
     objective: Optional[float]
     message: str  # why it failed; empty unless the status is error
-    summary: str  # status, message, gap, bound, nodes and wall time, one a line
+    summary: str  # status, HiGHS's model status, message, stats and wall time, one a line
     seconds: float  # wall time from the first HiGHS call to the solution read back
     stats: dict  # STATS names -> HiGHS's value; None where it gave none
 

@@ -456,7 +456,9 @@ def build_model(
     kept[0::2] = True
     kept[src_row] = True
     kept = np.flatnonzero(kept)
-    names = partial(_named, "{}_d{}", np.array(["srcout", "srcin"])[kept % 2], d_ids[kept // 2])
+    names = partial(
+        _named, "{}_d{}", np.array(["srcout", "srcin"])[kept % 2], d_ids[kept // 2]
+    )
     rhs = 0 if mode == "maxsubset" else units[kept // 2]
     rows.block(
         {"srcout": n_d, "srcin": len(kept) - n_d}, names,
