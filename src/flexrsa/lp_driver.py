@@ -24,12 +24,13 @@ Every solve runs with `SETTINGS` and its time limit: no output,
 `mip_rel_gap` 0, so an optimal answer is a proven optimum, and HiGHS's
 feasibility-jump heuristic (Luteberget & Sartor, Math. Prog. Comp. 2023)
 off. Feasibility jump is an LP-free local search that HiGHS runs before the
-root LP, and the equality flow-conservation rows of these models defeat it. On the ring14 QPSK seed-7
-link-1 break it returns 188 where the root node closes at 160, and HiGHS then
-runs a sub-MIP to reach 160; without it, rounding the root LP finds 160 at
-once. A cold `flexrsa solve` of that break then spends 0.57-0.61 s in HiGHS
-instead of 0.88-0.92 s (scipy 1.17.1, HiGHS 1.12.0, 2 CPUs). Every answer
-of the generator and tiny-instance corpora kept its status and objective.
+root LP, and the equality flow-conservation rows of these models defeat it.
+On the ring14 QPSK seed-7 link-1 break it returns 188 where the root node
+closes at 160, and HiGHS then runs a sub-MIP to reach 160; without it,
+rounding the root LP finds 160 at once. A cold `flexrsa solve` of that break
+then spends 0.57-0.61 s in HiGHS instead of 0.88-0.92 s (scipy 1.17.1, HiGHS
+1.12.0, 2 CPUs). Every answer of the generator and tiny-instance corpora
+kept its status and objective.
 
 The cost is under a time limit that ends before the root LP and its
 sub-MIP find an incumbent, where feasibility jump's was the only one. The
