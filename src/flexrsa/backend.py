@@ -86,7 +86,7 @@ class SolveOutcome:
     solver_name: str
     log_path: Optional[str] = None
     message: str = ""
-    highs_seconds: Optional[float] = None  # inside scipy.optimize.milp; builtin only
+    highs_seconds: Optional[float] = None  # first HiGHS call to solution read back; builtin only
     solver_stats: Optional[dict] = None  # HiGHS's node count, gap, dual bound; builtin only
 
 

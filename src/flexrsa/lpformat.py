@@ -16,14 +16,19 @@ ValueError on anything else: `\\` comment lines, the headers above, the
 objective `obj:`, named rows `tag: [-] [mag] name (+|-) [mag] name ...
 (<=|>=|=) rhs` wrapped onto lines that start with two spaces, the lone `0`
 (or `0 name`) of an empty expression, bounds `name = 0` and one binary name
-per line. Its rows go through `milp.Rows`, as the builder's do.
+per line. A row names each column at most once and with a nonzero
+coefficient, as the writer prints it; a row that repeats a column
+(`a: x + x >= 1`) or carries a zero one (`a: 0 x + y >= 1`) is refused. All
+its rows go to `milp.Rows` as one block, as the builder's families do.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .milp import FlowVar, MilpModel, Rows, SelectVar, WindowVar, row_relation
+from .milp import FlowVar, MilpModel, Rows, SelectVar, WindowVar, row_family, row_relation
 
 MAX_LINE = 200
 
@@ -170,15 +175,26 @@ def parse_lp_text(text: str):
     for j, v in zip(*_expression(objective[0][1:], index)):
         c[j] += v
 
-    rows = Rows()
+    # per row: its name, term count and bounds; the terms of all rows
+    tags, counts, lower, upper, cols, vals = [], [], [], [], [], []
     for toks in body["Subject To"]:
         if not toks[0].endswith(":"):
             raise ValueError(f"unnamed row: {' '.join(toks)!r}")
-        tag = toks[0][:-1]
+        tags.append(toks[0][:-1])
         if len(toks) < 4 or toks[-2] not in ("<=", ">=", "="):
-            raise ValueError(f"row {tag!r} has no relation")
-        cols, vals = _expression(toks[1:-2], index)
-        rows.add(tag, cols, vals, toks[-2], float(toks[-1]))
+            raise ValueError(f"row {tags[-1]!r} has no relation")
+        row_cols, row_vals = _expression(toks[1:-2], index)
+        counts.append(len(row_cols))
+        cols += row_cols
+        vals += row_vals
+        rhs = float(toks[-1])
+        lower.append(-np.inf if toks[-2] == "<=" else rhs)
+        upper.append(np.inf if toks[-2] == ">=" else rhs)
+    rows = Rows()
+    rows.block(
+        Counter(map(row_family, tags)), lambda: tags,
+        np.repeat(np.arange(len(tags)), counts), cols, vals, lower, upper,
+    )
 
     ub = np.ones(len(names))
     for toks in body["Bounds"]:

@@ -37,13 +37,15 @@ direction, color), read off sorted flat indices of the trimmed arcs (a mask
 over those four axes for ``base`` and ``notrim``), so only the arcs with
 columns are visited. The model keeps the table, with the selectors' demand
 ids, and the number of rows of each family. Rows come family by family, each
-family in sorted demand/link/color order. The flow, source, reach and
-unicolor families are written as column blocks: each family's terms are
-derived from the column table as arrays, sorted once into row order and term
-order, and handed to `Rows.block` whole; only the contiguity rows of ``base``
-and ``notrim`` go one by one through `Rows.add`. `Rows` is the one way from
-rows to a CSR matrix; `lpformat.parse_lp_text` puts the rows of an LP file
-through it too. The builder reads the network's own index form (link `ends`,
+family in sorted demand/link/color order, and every family is written as a
+column block: its terms are derived from the column table as arrays, sorted
+once into row order and term order, and handed to `Rows.block` whole with
+the rows' bounds. The contiguity families of ``base`` and ``notrim`` are one
+block with a row per column of a wider-than-one demand, in column order; a
+table keyed by (arc, color) gives the columns of a row's colors, and each
+row's terms come out merged. `Rows` is the one way from rows to a CSR
+matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it as
+one block too. The builder reads the network's own index form (link `ends`,
 `node_index`, `link_index`), and the notrim windows and the base variant's
 fixed columns come from `OpticalNetwork.free`.
 
@@ -121,9 +123,9 @@ def _named(template: str, *columns) -> list:
 
 
 def _joined_names(parts) -> tuple:
-    """The row names of `Rows.parts`, in order: lists of names, and the
-    callables that give a block's names."""
-    return tuple(chain.from_iterable(p() if callable(p) else p for p in parts))
+    """The row names of `Rows.parts`, in order: each block's callable gives
+    its names."""
+    return tuple(chain.from_iterable(p() for p in parts))
 
 
 @dataclass(frozen=True)
@@ -139,108 +141,66 @@ class LinearConstraint:
 class Rows:
     """Rows, in order, to a CSR matrix with row bounds and names.
 
-    `add` appends one named row: it keeps the terms in the order given,
-    merges a repeated column into its first occurrence and drops zero terms;
-    a row left without terms is kept. `block` appends a whole family of rows
-    from term arrays sorted by row, as given; it refuses a row that repeats a
-    column or carries a zero term, and keeps a row without terms. A block's
-    row names are derived only when `names` is read; `families` counts the
-    rows of each family as they are appended.
+    Rows enter only as blocks (`block`): a whole family of rows, or several
+    families interleaved, from term arrays sorted by row, with per-row
+    bounds. A block keeps its terms and bounds as arrays, and `matrix`
+    concatenates them. A block's row names are derived only when `names` is
+    read; `families` counts the rows of each family as they are appended.
     """
 
     def __init__(self) -> None:
-        self.parts: list = []  # the names: lists of them, and a callable per block
+        self.parts: list = []  # per block, the callable that gives its names
         self.families: dict = {}  # row family -> rows
-        self.lower: list = []
-        self.upper: list = []
-        self.counts: list = []  # terms per row
-        self.chunks: list = []  # (columns, values) arrays, in row order
-        self.cols: list = []  # terms of the rows added since the last chunk
-        self.vals: list = []
+        # per block: terms per row, columns, values, lower and upper bounds
+        ints, floats = np.zeros(0, dtype=np.int64), np.zeros(0)
+        self.blocks: list = [(ints, ints, floats, floats, floats)]
 
     @property
     def names(self) -> tuple:
         """The row names, in row order."""
         return _joined_names(self.parts)
 
-    def _count(self, family: str, rows: int) -> None:
-        if rows:
-            self.families[family] = self.families.get(family, 0) + int(rows)
-
-    def add(self, name: str, cols: list, vals: list, relation: str, rhs) -> None:
-        if len(set(cols)) < len(cols):
-            merged: dict = {}
-            for j, v in zip(cols, vals):
-                merged[j] = merged.get(j, 0) + v
-            cols, vals = list(merged), list(merged.values())
-        if 0 in vals:
-            kept = [k for k, v in enumerate(vals) if v]
-            cols, vals = [cols[k] for k in kept], [vals[k] for k in kept]
-        self.cols += cols
-        self.vals += vals
-        self.counts.append(len(cols))
-        if not self.parts or callable(self.parts[-1]):
-            self.parts.append([])
-        self.parts[-1].append(name)
-        self._count(row_family(name), 1)
-        self.lower.append(-np.inf if relation == "<=" else rhs)
-        self.upper.append(np.inf if relation == ">=" else rhs)
-
-    def block(self, families: dict, names, row, cols, vals, relation: str, rhs) -> None:
-        """Rows all with one relation, as many per family as `families`
-        says; names() gives their names in row order, and rhs is one value
-        or one per row. Term k is cols[k] with value vals[k] in row row[k]
-        of the block; the terms are sorted by row, and a row's terms are in
-        order."""
+    def block(self, families: dict, names, row, cols, vals, lower, upper) -> None:
+        """Rows as many per family as `families` says; names() gives their
+        names in row order, and lower and upper are their bounds, each one
+        value or one per row. Term k is cols[k] with value vals[k] in row
+        row[k] of the block; the terms are sorted by row, and a row's terms
+        are kept in the order given. A row without terms is kept; a row that
+        repeats a column or carries a zero term is refused."""
         count = sum(families.values())
         row = np.asarray(row, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        first = next(iter(families), "")
         if len(row) and (row[0] < 0 or row[-1] >= count or np.any(row[1:] < row[:-1])):
-            raise ValueError(f"block {first}: terms not sorted into its rows")
+            raise ValueError(f"block {next(iter(families), '')}: terms not in row order")
         if np.any(vals == 0):
-            raise ValueError(f"block {first}: a zero term")
+            raise ValueError(f"row {names()[row[np.argmax(vals == 0)]]}: a zero term")
         if len(cols):
-            terms = np.sort(row * (int(cols.max()) + 1) + cols)
-            if np.any(terms[1:] == terms[:-1]):
-                raise ValueError(f"block {first}: a row repeats a column")
-        self._chunk()
-        self.chunks.append((cols, vals))
-        self.counts += np.bincount(row, minlength=count).tolist()
+            low = int(cols.min())
+            span = int(cols.max()) - low + 1
+            terms = np.sort(row * span + cols - low)
+            twice = terms[1:][terms[1:] == terms[:-1]]
+            if len(twice):
+                raise ValueError(f"row {names()[twice[0] // span]}: repeats a column")
         self.parts.append(names)
         for family, rows in families.items():
-            self._count(family, rows)
-        bound = np.broadcast_to(np.asarray(rhs, dtype=np.float64), count).tolist()
-        self.lower += [-np.inf] * count if relation == "<=" else bound
-        self.upper += [np.inf] * count if relation == ">=" else bound
-
-    def _chunk(self) -> None:
-        if self.cols:
-            self.chunks.append((np.asarray(self.cols, dtype=np.int64),
-                                np.asarray(self.vals, dtype=np.float64)))
-            self.cols, self.vals = [], []
+            if rows:
+                self.families[family] = self.families.get(family, 0) + int(rows)
+        bounds = (np.broadcast_to(np.asarray(b, np.float64), count) for b in (lower, upper))
+        self.blocks.append((np.bincount(row, minlength=count), cols, vals, *bounds))
 
     def matrix(self, n_cols: int):
-        """(a, lower, upper): the rows as a CSR matrix over n_cols columns."""
+        """(a, lower, upper): the rows as a CSR matrix over n_cols columns;
+        a column outside range(n_cols) is refused."""
         from scipy import sparse  # deferred: commands that build no model skip scipy
 
-        self._chunk()
-        indptr = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=indptr[1:])
-        a = sparse.csr_array(
-            (
-                np.concatenate([v for _, v in self.chunks] or [np.zeros(0)]),
-                np.concatenate([c for c, _ in self.chunks] or [np.zeros(0, np.int64)]),
-                indptr,
-            ),
-            shape=(len(self.counts), n_cols),
-        )
-        return (
-            a,
-            np.asarray(self.lower, dtype=np.float64),
-            np.asarray(self.upper, dtype=np.float64),
-        )
+        counts, cols, vals, lower, upper = map(np.concatenate, zip(*self.blocks))
+        if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError(f"a column outside range({n_cols})")
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        a = sparse.csr_array((vals, cols, indptr), shape=(len(counts), n_cols))
+        return a, lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +393,7 @@ def build_model(
     )
     rows.block(
         {"flow": np.count_nonzero(starts)}, names, np.cumsum(starts) - 1, f_col,
-        1 - 2 * f_in, "=", 0,
+        1 - 2 * f_in, 0, 0,
     )
 
     # source rows, per demand: out-flow equals width (or width * y) in
@@ -459,11 +419,10 @@ def build_model(
     names = partial(
         _named, "{}_d{}", np.array(["srcout", "srcin"])[kept % 2], d_ids[kept // 2]
     )
-    rhs = 0 if mode == "maxsubset" else units[kept // 2]
+    rhs = np.where(kept % 2, 0, 0 if mode == "maxsubset" else units[kept // 2])
     rows.block(
         {"srcout": n_d, "srcin": len(kept) - n_d}, names,
-        np.searchsorted(kept, src_row[order]), src_col[order], src_val[order], "=",
-        np.where(kept % 2, 0, rhs),
+        np.searchsorted(kept, src_row[order]), src_col[order], src_val[order], rhs, rhs,
     )
 
     # reachability: occupied length is at most reach * width in colors, that
@@ -471,11 +430,11 @@ def build_model(
     lengths = np.array([l.length for l in links], dtype=np.float64)[li]
     on = lengths != 0
     starts = _starts(di[on])
-    reached = di[on][starts].tolist()
+    reached = di[on][starts]
+    reach = np.array([d.reach for d in demands], dtype=np.float64) * units
     rows.block(
         {"reach": len(reached)}, partial(_named, "reach_d{}", d_ids[reached]),
-        np.cumsum(starts) - 1, col[on], lengths[on], "<=",
-        [demands[k].reach * units[k] for k in reached],
+        np.cumsum(starts) - 1, col[on], lengths[on], -np.inf, reach[reached],
     )
 
     # unicolor: a (link, color) slot carries at most one demand, one
@@ -489,55 +448,54 @@ def build_model(
     names = partial(_named, "uni_l{}_c{}", l_ids[u_l[starts]], u_c[starts])
     rows.block(
         {"uni": np.count_nonzero(starts)}, names, np.cumsum(starts) - 1, u_col,
-        np.ones(len(u_col)), "<=", 1,
+        np.ones(len(u_col)), -np.inf, 1,
     )
     # exceeds any flow's cost: a slot carries at most one demand, so the
     # flow cost is at most the count of distinct (demand, link, color) slots
     # that the columns cover
     big_m = 1 + int(np.count_nonzero(_starts(u_l, u_c, di[u_col])))
 
-    # contiguity families, per arc over its own colors (a missing column
-    # counts as zero); identically true for width-1 demands, so skipped, and
-    # windows need none
+    # contiguity, one row per column of a demand wider than one color (a
+    # width-1 row is identically true, and windows need none), in column
+    # order: ctgA / ctgB if the column's color c can start a window,
+    # (1 - w) x_c + x_{c+1..c+w-1} (+ w x_{c-1} in ctgA, when c - 1 can
+    # start one too) >= 0; otherwise ctgC, x_{c-1} - x_c >= 0. A missing
+    # column counts as zero: the arc's columns are looked up by color in a
+    # table, -1 where there is none
     if not windows:
-        all_firsts = frozenset(range(1, net.slot_count + 1))
-        free_firsts: dict = {}  # width -> per link position, its free windows' first colors
-        arc_starts = np.flatnonzero(_starts(di, li, side)).tolist()
-        for base, end in zip(arc_starts, arc_starts[1:] + [n_flow]):
-            d, e = demands[di[base]], li[base]
-            w = d.width
-            if w == 1:
-                continue
-            if variant == "base":
-                firsts = all_firsts
-            else:
-                if w not in free_firsts:
-                    free_firsts[w] = [
-                        frozenset((np.flatnonzero(flags) + 1).tolist())
-                        for flags in free_windows(net.free, w).T
-                    ]
-                firsts = free_firsts[w][e]
-            colors = color[base:end].tolist()
-            tag = f"d{d.id}_l{links[e].id}{'fb'[side[base]]}"
-            pos = {c: k for k, c in enumerate(colors)}
-            for k, c in enumerate(colors):
-                if c in firsts:
-                    terms = [base + pos[c + i] for i in range(w) if c + i in pos]
-                    vals = [1] * len(terms) + [-w]
-                    terms.append(base + k)
-                    if c - 1 in firsts:
-                        terms.append(base + pos[c - 1])
-                        vals.append(w)
-                        fam = "ctgA"
-                    else:
-                        fam = "ctgB"
-                    rows.add(f"{fam}_{tag}_c{c}", terms, vals, ">=", 0)
-                elif variant != "base":
-                    terms, vals = [base + k], [-1]
-                    if c - 1 in pos:
-                        terms.append(base + pos[c - 1])
-                        vals.append(1)
-                    rows.add(f"ctgC_{tag}_c{c}", terms, vals, ">=", 0)
+        at = np.flatnonzero(widths[di] > 1)
+        w, c, l = widths[di[at]], color[at], li[at]
+        w_max = int(w.max(initial=1))
+        arc = np.cumsum(_starts(di, li, side)) - 1
+        table = np.full((arc[-1] + 1 if n_flow else 0, slots + w_max), -1)
+        table[arc, color] = col
+        # opens[w, c, l]: color c can start a window of width w on link l
+        opens = np.zeros((w_max + 1, slots + 1, n_l), dtype=bool)
+        if variant == "base":
+            opens[:, 1:] = True
+        else:
+            for width in np.unique(w).tolist():
+                firsts = free_windows(net.free, width)
+                opens[width, 1 : len(firsts) + 1] = firsts
+        window, below = opens[w, c, l], opens[w, c - 1, l]
+        # a row's candidate terms: its own color, the w_max - 1 colors above
+        # it, then the color below it
+        terms = table[arc[at, None], c[:, None] + np.append(np.arange(w_max), -1)]
+        vals = np.ones(terms.shape)
+        vals[:, 0] = np.where(window, 1 - w, -1)
+        vals[:, -1] = np.where(window, w, 1)
+        use = terms >= 0
+        use[:, 1:-1] &= window[:, None] & (np.arange(1, w_max) < w[:, None])
+        use[:, -1] &= below | ~window
+        fam = np.where(window, np.where(below, 0, 1), 2)
+        names = partial(
+            _named, "{}_d{}_l{}{}_c{}", np.array(["ctgA", "ctgB", "ctgC"])[fam],
+            d_ids[di[at]], l_ids[l], np.array(["f", "b"])[side[at]], c,
+        )
+        rows.block(
+            dict(zip(("ctgA", "ctgB", "ctgC"), np.bincount(fam, minlength=3).tolist())),
+            names, np.nonzero(use)[0], terms[use], vals[use], 0, np.inf,
+        )
 
     n = n_flow + len(selectors)
     c_vec = np.zeros(n)

@@ -150,6 +150,15 @@ class TestParserDetails:
         with pytest.raises(ValueError, match="expected a column name"):
             parse_lp_text(DOC.replace(" a: x + 3 y >= 1", " a: x + 1 >= 2"))
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [(" a: x + x >= 1", "repeats a column"), (" a: 0 x + y >= 1", "a zero term")],
+        ids=["repeated-column", "zero-coefficient"],
+    )
+    def test_row_outside_the_printed_dialect(self, row, error):
+        with pytest.raises(ValueError, match=f"row a: {error}"):
+            parse_lp_text(DOC.replace(" a: x + 3 y >= 1", row))
+
     @pytest.mark.parametrize("bound", [" y = 1", " y <= 0", " 0 <= y <= 1", " z = 0"])
     def test_bound_other_than_fixed_at_zero(self, bound):
         with pytest.raises(ValueError, match="unsupported bound"):

@@ -221,49 +221,42 @@ class TestStatistics:
 
 
 class TestRows:
-    def test_merges_repeats_in_place_and_drops_zeros(self):
+    def test_blocks_keep_their_order(self):
         rows = Rows()
-        rows.add("a", [2, 0, 2, 1], [1, 1, -3, 0], ">=", 0)
-        rows.add("b", [1, 1], [1, -1], "=", 4)  # cancels to an empty row, kept
-        rows.add("c", [0], [2.5], "<=", 7.5)
-        a, lower, upper = rows.matrix(3)
-        assert a.shape == (3, 3)
-        assert a.indptr.tolist() == [0, 2, 2, 3]
-        assert a.indices.tolist() == [2, 0, 0]
-        assert a.data.tolist() == [-2.0, 1.0, 2.5]
-        assert lower.tolist() == [0.0, 4.0, -np.inf]
-        assert upper.tolist() == [np.inf, 4.0, 7.5]
-        assert rows.names == ("a", "b", "c")
-        assert rows.families == {"a": 1, "b": 1, "c": 1}
-
-    def test_blocks_and_single_rows_keep_their_order(self):
-        rows = Rows()
-        rows.add("a", [2], [1], ">=", 0)
+        rows.block({"a": 1}, lambda: ["a"], [0], [2], [1], 0, np.inf)
         # row "b" has no terms and is kept; the terms of "c" stay in order
-        rows.block({"b": 1, "c": 1}, lambda: ["b", "c"], [1, 1], [2, 0], [1, -1], "=", [4, 0])
-        rows.add("d", [1, 1], [1, 1], "<=", 7.5)
-        rows.block({"e": 1}, lambda: ["e"], [0], [0], [3.5], "<=", 1)
+        rows.block(
+            {"b": 1, "c": 1}, lambda: ["b", "c"], [1, 1, 1], [2, 0, 1], [1, -1, 2],
+            [4, -np.inf], [4, 7.5],
+        )
+        rows.block({"d": 2}, lambda: ["d_1", "d_2"], [0, 1], [0, 1], [3.5, 1], -np.inf, 1)
         a, lower, upper = rows.matrix(3)
-        assert a.indptr.tolist() == [0, 1, 1, 3, 4, 5]
-        assert a.indices.tolist() == [2, 2, 0, 1, 0]
-        assert a.data.tolist() == [1.0, 1.0, -1.0, 2.0, 3.5]
-        assert lower.tolist() == [0.0, 4.0, 0.0, -np.inf, -np.inf]
-        assert upper.tolist() == [np.inf, 4.0, 0.0, 7.5, 1.0]
-        assert rows.names == ("a", "b", "c", "d", "e")
+        assert a.shape == (5, 3)
+        assert a.indptr.tolist() == [0, 1, 1, 4, 5, 6]
+        assert a.indices.tolist() == [2, 2, 0, 1, 0, 1]
+        assert a.data.tolist() == [1.0, 1.0, -1.0, 2.0, 3.5, 1.0]
+        assert lower.tolist() == [0.0, 4.0, -np.inf, -np.inf, -np.inf]
+        assert upper.tolist() == [np.inf, 4.0, 7.5, 1.0, 1.0]
+        assert rows.names == ("a", "b", "c", "d_1", "d_2")
+        assert rows.families == {"a": 1, "b": 1, "c": 1, "d": 2}
 
     @pytest.mark.parametrize(
-        "row, cols, vals",
+        "row, cols, vals, error",
         [
-            ([0, 1, 1], [0, 2, 2], [1, 1, -1]),  # a repeated column
-            ([0, 1], [0, 2], [1, 0]),  # a zero term
-            ([1, 0], [0, 2], [1, 1]),  # terms out of row order
-            ([0, 2], [0, 2], [1, 1]),  # a term past the last row
+            ([0, 1, 1], [0, 2, 2], [1, 1, -1], "row a_2: repeats a column"),
+            ([0, 1], [0, 2], [1, 0], "row a_2: a zero term"),
+            ([1, 0], [0, 2], [1, 1], "not in row order"),
+            ([0, 2], [0, 2], [1, 1], "not in row order"),  # a term past the last row
+            ([0, 1], [2, -1], [1, 1], "outside range"),  # a negative column
+            ([0, 1], [0, 3], [1, 1], "outside range"),  # a column past the last
         ],
-        ids=["repeat", "zero", "unsorted", "outside"],
+        ids=["repeat", "zero", "unsorted", "outside", "negative-column", "column-past-end"],
     )
-    def test_block_refuses_malformed_terms(self, row, cols, vals):
-        with pytest.raises(ValueError):
-            Rows().block({"a": 2}, lambda: ["a_1", "a_2"], row, cols, vals, "=", 0)
+    def test_block_refuses_malformed_terms(self, row, cols, vals, error):
+        rows = Rows()
+        with pytest.raises(ValueError, match=error):
+            rows.block({"a": 2}, lambda: ["a_1", "a_2"], row, cols, vals, 0, 0)
+            rows.matrix(3)
 
 
 class TestDerivedRows:
