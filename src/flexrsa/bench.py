@@ -30,12 +30,13 @@ from . import cli
 from .io import load_instance
 from .model import InputError
 
-# vary between reruns; a phase that did not run (no builtin solve, no
-# solution to extract, no extracted paths to verify) leaves its column empty.
+# vary between reruns; a phase that did not run (no hop bound after a
+# trimming proof, no model after the hop bound, no builtin solve, no
+# solution to extract, no paths to verify) leaves its column empty.
 # A case is loaded once, and its load time goes on each of its rows.
 TIMING_COLUMNS = (
-    "load_seconds", "trim_seconds", "build_seconds", "solve_seconds",
-    "highs_seconds", "extract_seconds", "verify_seconds",
+    "load_seconds", "trim_seconds", "bound_seconds", "build_seconds",
+    "solve_seconds", "highs_seconds", "extract_seconds", "verify_seconds",
 )
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",

@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Subcommands: trim, solve, oracle, gen, validate, bench.
-`solve` and `bench` answer through one function, `answer`: trim, build,
-solve, extract, verify. An answer is certified iff its paths were extracted
-and passed `verify_solution`.
+`solve` and `bench` answer through one function, `answer`: trim, then the
+hop bound, then build, solve, extract, verify. Trimming alone can prove
+infeasibility (`meta.proven_by: "trimming"`). Next, a fewest-hop first-fit
+routing that meets the hop lower bound (`heuristic.hop_bound_routing`) and
+passes `verify_solution` is the answer, `optimal` with
+`meta.proven_by: "hop_bound"`, and no model is built and no solver runs.
+Otherwise the MILP decides. An answer is certified iff its paths were
+extracted or placed and passed `verify_solution`.
 Exit codes for `solve`/`oracle`: 0 feasible, 10 infeasible, 20 time limit,
 1 error, including an optimal or feasible `solve` answer that is not
 certified (its solution JSON is still written, with `meta.verified: false`
@@ -32,7 +37,14 @@ from .backend import (
     SolverNotFound,
     solve as backend_solve,
 )
-from .extract import ExtractionError, extract_paths, solution_to_dict, verify_solution
+from .extract import (
+    ExtractionError,
+    ExtractResult,
+    extract_paths,
+    solution_to_dict,
+    verify_solution,
+)
+from .heuristic import hop_bound_routing
 from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution_paths
 from .milp import build_model, model_statistics
 from .model import InputError, RestorationInstance
@@ -104,12 +116,14 @@ def answer(
     """The solution document of one instance, for both `solve` and `bench`.
 
     A non-re-routable demand proves infeasibility in feasibility mode and is
-    excluded in maxsubset mode. `objective` is the slot count in feasibility
-    mode and the number of restored demands in maxsubset mode, as in
-    `oracle`. `status` is the solver's; `meta.verified` is
-    true iff the paths were extracted and passed `verify_solution`. The
-    layers are called through this module's globals, so a caller can wrap
-    them.
+    excluded in maxsubset mode. A verified routing that meets the hop lower
+    bound is then the answer, with `meta.proven_by` "hop_bound" and
+    `meta.timings.bound_seconds` for the attempt either way. `objective` is
+    the slot count in feasibility mode and the number of restored demands in
+    maxsubset mode, as in `oracle`. Past the bound, `status` is the
+    solver's; `meta.verified` is true iff the paths were extracted and
+    passed `verify_solution`. The layers are called through this module's
+    globals, so a caller can wrap them.
     """
     t0 = time.perf_counter()
     triples = compute_useful_triples(instance)
@@ -137,6 +151,23 @@ def answer(
             instance.network,
             tuple(d for d in instance.demands if d.id not in excluded),
         )
+
+    t0 = time.perf_counter()
+    paths = hop_bound_routing(instance, triples)
+    meta["timings"]["bound_seconds"] = round(time.perf_counter() - t0, 6)
+    if paths is not None:
+        t0 = time.perf_counter()
+        report = verify_solution(paths, instance)
+        if report.ok:  # a routing that fails verification falls through to the model
+            meta["timings"]["verify_seconds"] = round(time.perf_counter() - t0, 6)
+            meta["proven_by"] = "hop_bound"
+            meta["verified"] = True
+            result = ExtractResult(paths)
+            objective = result.total_slots()
+            if mode == "maxsubset":  # every kept demand is restored
+                result.restored = frozenset(paths)
+                objective = len(paths)
+            return solution_to_dict(OPTIMAL, objective, result, report, meta)
 
     t0 = time.perf_counter()
     model = build_model(instance, triples, variant, mode)
@@ -217,8 +248,6 @@ def cmd_oracle(args) -> int:
         "tool_version": __version__,
         "optima_count": outcome.optima_count,
     }
-    from .extract import ExtractResult
-
     if args.mode == "maxsubset":
         meta["max_subset_size"] = outcome.max_subset_size
         result = ExtractResult(paths=result_paths, restored=outcome.restored)

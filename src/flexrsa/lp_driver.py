@@ -9,8 +9,8 @@ calls `run`, `getInfo` and `getSolution`; the column values come back as
 one ndarray. These are the arrays that `scipy.optimize.milp` handed over
 before, without its Python loops over every column (an integrality list,
 bound marginals). The module is private to scipy, and only this one imports
-it: the golden digests of `tests/test_backend.py` lock what HiGHS receives,
-and the import fails at once if scipy moves it. `HighsOutcome.seconds`
+it: the golden digests of `tests/test_backend.py` lock what HiGHS receives.
+`HighsOutcome.seconds`
 (`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
 solution read back, the column-wise copy of the rows included.
 
@@ -43,24 +43,56 @@ ends with no solution (751 with it).
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsModelStatus,
-    HighsStatus,
-    HighsVarType,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-    kHighsInf,
-)
 
 from .backend import ERROR, INFEASIBLE, OPTIMAL, TIMELIMIT
 from .lpformat import parse_lp_text
+
+CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """scipy's compiled HiGHS bindings. The plain import runs
+    `scipy.optimize/__init__` first, and with it `scipy.sparse` and the
+    rest of `scipy.optimize` (0.4 s cold, against 9 ms for the extension
+    alone), so the extension is loaded by file from where scipy keeps it,
+    under its own name, where a later `import scipy.optimize` finds it. A
+    module scipy has already loaded is reused, and the plain import is the
+    fallback if the file is not there."""
+    if CORE in sys.modules:
+        return sys.modules[CORE]
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "optimize", "_highspy", "_core" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(CORE, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(CORE, loader)
+            )
+            loader.exec_module(module)
+            sys.modules[CORE] = module
+            return module
+    return importlib.import_module(CORE)
+
+
+_core = _load_core()  # once: threads that import this module wait for it
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+HighsVarType = _core.HighsVarType
+MatrixFormat = _core.MatrixFormat
+ObjSense = _core.ObjSense
+_Highs = _core._Highs
+kHighsInf = _core.kHighsInf
 
 # HiGHS model status -> outcome status; any other is an error
 _STATUS = {

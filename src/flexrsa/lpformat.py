@@ -16,8 +16,8 @@ ValueError on anything else: `\\` comment lines, the headers above, the
 objective `obj:`, named rows `tag: [-] [mag] name (+|-) [mag] name ...
 (<=|>=|=) rhs` wrapped onto lines that start with two spaces, the lone `0`
 (or `0 name`) of an empty expression, bounds `name = 0` and one binary name
-per line. A row names each column at most once and with a nonzero
-coefficient, as the writer prints it; a row that repeats a column
+per line. The objective and each row name each column at most once and with
+a nonzero coefficient, as the writer prints them; one that repeats a column
 (`a: x + x >= 1`) or carries a zero one (`a: 0 x + y >= 1`) is refused. All
 its rows go to `milp.Rows` as one block, as the builder's families do.
 """
@@ -171,9 +171,13 @@ def parse_lp_text(text: str):
     objective = body["Minimize"]
     if len(objective) != 1 or objective[0][:1] != ["obj:"]:
         raise ValueError("the objective must be one row named obj")
+    cols, vals = _expression(objective[0][1:], index)
+    if 0 in vals:
+        raise ValueError("row obj: a zero term")
+    if len(set(cols)) != len(cols):
+        raise ValueError("row obj: repeats a column")
     c = np.zeros(len(names))
-    for j, v in zip(*_expression(objective[0][1:], index)):
-        c[j] += v
+    c[cols] = vals
 
     # per row: its name, term count and bounds; the terms of all rows
     tags, counts, lower, upper, cols, vals = [], [], [], [], [], []

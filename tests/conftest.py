@@ -48,6 +48,23 @@ def t4():
 
 
 @pytest.fixture
+def contested_link():
+    """Triangle where link 1-3 has only color 1 free, and two width-1
+    demands 1->3 at reach 5. The hop bound is 2, but only one demand can
+    take the direct link: first-fit puts the second on 1-2-3, and the
+    optimum, 3, needs the MILP."""
+    links = [
+        Link(1, 1, 2, 1.0),
+        Link(2, 2, 3, 1.0),
+        Link(3, 1, 3, 1.0),
+    ]
+    net = make_network([1, 2, 3], links, {1: [1, 2], 2: [1, 2], 3: [1]}, 2)
+    return RestorationInstance(
+        net, (Demand(1, 1, 3, 1, 5.0), Demand(2, 1, 3, 1, 5.0))
+    )
+
+
+@pytest.fixture
 def t1_low_reach(t1):
     """T1 with the reach lowered below the shortest route."""
     return RestorationInstance(t1.network, (Demand(1, 1, 3, 1, 1.5),))

@@ -11,10 +11,13 @@ import pytest
 import flexrsa
 from flexrsa import cli
 from flexrsa.backend import SolverConfig
+from flexrsa.backend import solve as backend_solve
 from flexrsa.cli import main
-from flexrsa.extract import ExtractionError, extract_paths
+from flexrsa.extract import ExtractionError, extract_paths, verify_solution
 from flexrsa.io import instance_to_dict, save_instance
+from flexrsa.milp import build_model
 from flexrsa.model import Demand, RestorationInstance
+from flexrsa.trimming import compute_useful_triples
 from tests_support import canned_solver
 
 
@@ -22,6 +25,13 @@ from tests_support import canned_solver
 def t1_file(t1, tmp_path):
     path = tmp_path / "t1.json"
     save_instance(t1, str(path))
+    return str(path)
+
+
+@pytest.fixture
+def contested_file(contested_link, tmp_path):
+    path = tmp_path / "contested.json"
+    save_instance(contested_link, str(path))
     return str(path)
 
 
@@ -42,6 +52,17 @@ def t1_low_file(t1_low_reach, tmp_path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def fresh_interpreter(code: str) -> str:
+    """What `code` prints when run by a new interpreter on this flexrsa."""
+    src = os.path.dirname(os.path.dirname(flexrsa.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    return run.stdout.strip()
 
 
 class TestTrim:
@@ -71,65 +92,64 @@ class TestTrim:
             "loaded.append('scipy' in sys.modules)\n"
             "print(loaded)\n"
         )
-        src = os.path.dirname(os.path.dirname(flexrsa.__file__))
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True,
-        )
-        assert run.stdout.strip() == "[False, False]"  # after import, after trim
+        assert fresh_interpreter(code) == "[False, False]"  # after import, after trim
         assert read_json(out)["stats"]["triples_useful"] == 4
 
 
 class TestSolve:
-    def test_t1_exit_zero(self, t1_file, tmp_path):
+    def test_t1_exit_zero(self, contested_file, tmp_path):
         out = tmp_path / "sol.json"
         code = main(
-            ["solve", t1_file, "--solver", "builtin", "--time-limit", "60",
+            ["solve", contested_file, "--solver", "builtin", "--time-limit", "60",
              "-o", str(out)]
         )
         assert code == 0
         doc = read_json(out)
         assert doc["status"] == "optimal"
-        assert doc["objective"] == 2
+        assert doc["objective"] == 3
         assert doc["meta"]["verified"] is True
         assert doc["meta"]["solver_invoked"] is True
-        assert doc["meta"]["model"]["variables"] == 4  # the forward arcs of links 1, 2
+        assert "proven_by" not in doc["meta"]
+        # per demand: the forward arcs of links 1, 2 at first colors 1, 2; link 3 at 1
+        assert doc["meta"]["model"]["variables"] == 10
         assert list(doc["meta"]["timings"]) == [
-            "load_seconds", "trim_seconds", "build_seconds", "solve_seconds",
-            "highs_seconds", "extract_seconds", "verify_seconds",
+            "load_seconds", "trim_seconds", "bound_seconds", "build_seconds",
+            "solve_seconds", "highs_seconds", "extract_seconds", "verify_seconds",
         ]
 
-    def test_highs_seconds_and_solver_stats_only_for_builtin(self, t1_file, tmp_path):
+    def test_highs_seconds_and_solver_stats_only_for_builtin(
+        self, contested_file, tmp_path
+    ):
         out = tmp_path / "sol.json"
-        assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 0
+        assert main(["solve", contested_file, "--solver", "builtin", "-o", str(out)]) == 0
         meta = read_json(out)["meta"]
         timings = meta["timings"]
         assert 0 < timings["highs_seconds"] <= timings["solve_seconds"]
         stats = meta["solver_stats"]
         assert sorted(stats) == ["mip_dual_bound", "mip_gap", "mip_node_count"]
         assert stats["mip_gap"] == 0
-        assert stats["mip_dual_bound"] == 2  # the optimum
+        assert stats["mip_dual_bound"] == 3  # the optimum
         assert isinstance(stats["mip_node_count"], int)
         solver = canned_solver(
             tmp_path,
-            "Optimal - objective value 2\n"
+            "Optimal - objective value 3\n"
             "      0 z_d1_l1_f_w1 1 0\n"
-            "      1 z_d1_l2_f_w1 1 0\n",
+            "      2 z_d1_l2_f_w1 1 0\n"
+            "      9 z_d2_l3_f_w1 1 0\n",
         )
-        assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 0
+        assert main(["solve", contested_file, "--solver", solver, "-o", str(out)]) == 0
         meta = read_json(out)["meta"]
         assert "solve_seconds" in meta["timings"]
         assert "highs_seconds" not in meta["timings"]
         assert "solver_stats" not in meta
 
     def test_failed_external_solve_says_why_and_names_its_log(
-        self, t1_file, tmp_path, monkeypatch
+        self, contested_file, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         solver = canned_solver(tmp_path, "segfault haiku\n")
         out = tmp_path / "sol.json"
-        assert main(["solve", t1_file, "--solver", solver, "-o", str(out)]) == 1
+        assert main(["solve", contested_file, "--solver", solver, "-o", str(out)]) == 1
         doc = read_json(out)
         assert doc["status"] == "error"
         assert doc["meta"]["solver_message"] == (
@@ -140,16 +160,40 @@ class TestSolve:
         assert os.path.dirname(workdir) == str(tmp_path)
         assert sorted(os.listdir(workdir)) == ["model.lp", "model.sol", "solver.log"]
 
-    def test_solver_log_only_when_kept(self, t1_file, tmp_path):
+    def test_solver_log_only_when_kept(self, contested_file, tmp_path):
         out = tmp_path / "sol.json"
-        assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 0
+        assert main(["solve", contested_file, "--solver", "builtin", "-o", str(out)]) == 0
         assert "solver_log" not in read_json(out)["meta"]
         work = tmp_path / "work"
         assert main(
-            ["solve", t1_file, "--solver", "builtin", "--keep-files",
+            ["solve", contested_file, "--solver", "builtin", "--keep-files",
              "--workdir", str(work), "-o", str(out)]
         ) == 0
         assert read_json(out)["meta"]["solver_log"] == str(work / "solver.log")
+
+    @pytest.mark.parametrize(
+        "suffixes, printed",
+        [(None, "False True"), ([], "True True")],
+        ids=["by-file", "plain-import"],
+    )
+    def test_builtin_solve_loads_the_highs_bindings_alone(
+        self, contested_file, tmp_path, suffixes, printed
+    ):
+        # the bindings load by file, without scipy.optimize; with no
+        # extension file found, the plain import serves the solve instead
+        out = tmp_path / "sol.json"
+        code = (
+            "import importlib.machinery, sys\n"
+            + (f"importlib.machinery.EXTENSION_SUFFIXES[:] = {suffixes!r}\n"
+               if suffixes is not None else "")
+            + "import flexrsa.cli\n"
+            f"argv = ['solve', {contested_file!r}, '--solver', 'builtin', '-o', {str(out)!r}]\n"
+            "assert flexrsa.cli.main(argv) == 0\n"
+            "print('scipy.optimize' in sys.modules,"
+            " 'scipy.optimize._highspy._core' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code) == printed
+        assert read_json(out)["meta"]["solver_stats"]["mip_dual_bound"] == 3
 
     def test_stdout_holds_one_json_document(self, t1_file, capfd):
         # fd level: HiGHS would print from C, past sys.stdout
@@ -157,9 +201,9 @@ class TestSolve:
         doc = json.loads(capfd.readouterr().out)
         assert doc["status"] == "optimal"
 
-    def test_failed_verification_exits_one(self, t1_file, tmp_path, monkeypatch):
+    def test_failed_verification_exits_one(self, contested_file, tmp_path, monkeypatch):
         def shifted(*args, **kwargs):
-            # move each slot block one slot out of T1's spectrum {1, 2}
+            # move each slot block one slot out of the spectrum {1, 2}
             result = extract_paths(*args, **kwargs)
             result.paths = {
                 d: dataclasses.replace(
@@ -172,7 +216,7 @@ class TestSolve:
         monkeypatch.setattr("flexrsa.cli.extract_paths", shifted)
         out = tmp_path / "sol.json"
         code = main(
-            ["solve", t1_file, "--solver", "builtin", "--time-limit", "60",
+            ["solve", contested_file, "--solver", "builtin", "--time-limit", "60",
              "-o", str(out)]
         )
         assert code == 1
@@ -180,14 +224,14 @@ class TestSolve:
         assert doc["status"] == "optimal"
         assert doc["meta"]["verified"] is False
 
-    def test_failed_extraction_exits_one(self, t1_file, tmp_path, monkeypatch):
+    def test_failed_extraction_exits_one(self, contested_file, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ExtractionError(1, "no flow assigned")
 
         monkeypatch.setattr("flexrsa.cli.extract_paths", broken)
         out = tmp_path / "sol.json"
         code = main(
-            ["solve", t1_file, "--solver", "builtin", "--time-limit", "60",
+            ["solve", contested_file, "--solver", "builtin", "--time-limit", "60",
              "-o", str(out)]
         )
         assert code == 1
@@ -239,7 +283,7 @@ class TestSolve:
         out = tmp_path / "sol.json"
         assert main(["solve", str(path), "--solver", "builtin", "-o", str(out)]) == 0
         doc = read_json(out)
-        assert (doc["status"], doc["meta"]["solver_name"]) == ("optimal", "trivial")
+        assert (doc["status"], doc["meta"]["proven_by"]) == ("optimal", "hop_bound")
         assert doc["objective"] == 0 and type(doc["objective"]) is int
         assert '"objective": 0,' in out.read_text()
 
@@ -270,7 +314,7 @@ class TestSolve:
 
 class TestAnswerDerivesNothingItDoesNotRead:
     @pytest.mark.parametrize(
-        "fixture, mode", [("t1", "feasibility"), ("t3", "maxsubset")],
+        "fixture, mode", [("contested_link", "feasibility"), ("t3", "maxsubset")],
         ids=["feasible", "maxsubset"],
     )
     def test_no_keys_names_or_triples(self, request, monkeypatch, fixture, mode):
@@ -302,21 +346,21 @@ class TestReachPolicy:
         strict=True,
         reason="trimming compares the summed route length with the reach "
         "exactly, HiGHS accepts the reach row within its feasibility "
-        "tolerance: trimmed exits 0 with objective 3, notrim and base "
-        "return the 2-hop route, which fails verification (exit 1)",
+        "tolerance: the trimmed MILP finds objective 3, the notrim and base "
+        "MILPs the 2-hop route of objective 2, which fails verification",
     )
-    def test_variants_agree_on_the_reach_boundary(self, two_route_reach, tmp_path):
-        path = tmp_path / "two_route.json"
-        save_instance(two_route_reach, str(path))
+    def test_variants_agree_on_the_reach_boundary(self, two_route_reach):
+        # each variant's MILP itself, past the hop bound, which answers 3
+        # for every variant by the verifier's own rule
+        triples = compute_useful_triples(two_route_reach)
         answers = {}
         for variant in ("trimmed", "notrim", "base"):
-            out = tmp_path / f"{variant}.json"
-            code = main(
-                ["solve", str(path), "--variant", variant, "--solver", "builtin",
-                 "-o", str(out)]
-            )
-            answers[variant] = (code, read_json(out)["objective"])
-        assert answers["trimmed"][0] == 0
+            model = build_model(two_route_reach, triples, variant, "feasibility")
+            outcome = backend_solve(model, SolverConfig(solver="builtin"))
+            result = extract_paths(outcome.chosen, model, two_route_reach)
+            report = verify_solution(result.paths, two_route_reach)
+            answers[variant] = (report.ok, outcome.objective)
+        assert answers["trimmed"][0]
         assert answers["notrim"] == answers["trimmed"]
         assert answers["base"] == answers["trimmed"]
 
@@ -520,8 +564,8 @@ class TestBench:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == (
             "case,kind,modulation,broken_link,variant,solver,variables,"
-            "constraints,load_seconds,trim_seconds,build_seconds,solve_seconds,"
-            "highs_seconds,extract_seconds,verify_seconds,status,objective"
+            "constraints,load_seconds,trim_seconds,bound_seconds,build_seconds,"
+            "solve_seconds,highs_seconds,extract_seconds,verify_seconds,status,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
         rows = read_csv_rows(csv_path)
@@ -535,10 +579,12 @@ class TestBench:
         md = md_path.read_text()
         assert "Vars trimmed" in md and "Excluding cells over 100" in md
 
-    def test_means_leave_out_cells_with_no_model(self, tmp_path, t1, t1_low_reach):
+    def test_means_leave_out_cells_with_no_model(
+        self, tmp_path, contested_link, t1_low_reach
+    ):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        save_instance(t1, str(corpus / "solved.json"))
+        save_instance(contested_link, str(corpus / "solved.json"))
         save_instance(t1_low_reach, str(corpus / "trimmed_away.json"))
         csv_path = tmp_path / "b.csv"
         md_path = tmp_path / "b.md"
@@ -551,8 +597,8 @@ class TestBench:
         assert rows["trimmed_away"]["status"] == "infeasible"
         assert rows["trimmed_away"]["variables"] == rows["trimmed_away"]["solve_seconds"] == ""
         assert float(rows["trimmed_away"]["load_seconds"]) > 0  # loaded all the same
-        for column in ("highs_seconds", "extract_seconds", "verify_seconds"):
-            assert rows["trimmed_away"][column] == ""  # no solve ran
+        for column in ("bound_seconds", "highs_seconds", "extract_seconds", "verify_seconds"):
+            assert rows["trimmed_away"][column] == ""  # nothing ran past trimming
             assert float(rows["solved"][column]) >= 0
         assert 0 < float(rows["solved"]["highs_seconds"]) <= float(rows["solved"]["solve_seconds"])
         table = [l for l in md_path.read_text().splitlines() if l.startswith("| ")]
@@ -560,7 +606,7 @@ class TestBench:
         for header, group in (table[:2], table[2:]):
             cells = dict(zip(header.split(" | "), group.split(" | ")))
             assert cells["#Tests"] == "2"
-            assert cells["Vars trimmed"] == rows["solved"]["variables"] == "4"
+            assert cells["Vars trimmed"] == rows["solved"]["variables"] == "10"
 
     def test_skips_non_instance_json(self, tmp_path, t1, capsys):
         corpus = tmp_path / "corpus"
@@ -615,17 +661,19 @@ class TestBench:
         assert row["status"] == solved["status"] == "optimal"
         assert float(row["objective"]) == solved["objective"]
 
-    def test_uncertified_feasible_answer_is_error(self, t1, tmp_path):
-        # the incumbent leaves the source on two links: no path can be extracted
+    def test_uncertified_feasible_answer_is_error(self, contested_link, tmp_path):
+        # demand 1 leaves the source on two links: no path can be extracted
         solver = canned_solver(
             tmp_path,
-            "Feasible - objective value 2\n"
+            "Feasible - objective value 4\n"
             "0 x_d1_l1_f_c1 1 0\n"
-            "1 x_d1_l3_f_c1 1 0\n",
+            "8 x_d1_l3_f_c1 1 0\n"
+            "11 x_d2_l1_f_c2 1 0\n"
+            "15 x_d2_l2_f_c2 1 0\n",
         )
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        save_instance(t1, str(corpus / "t1.json"))
+        save_instance(contested_link, str(corpus / "contested.json"))
         csv_path = tmp_path / "b.csv"
         assert main(
             ["bench", str(corpus), "--variants", "notrim", "--solvers", solver,
@@ -634,7 +682,7 @@ class TestBench:
         ) == 0
         (row,) = read_csv_rows(csv_path)
         assert row["status"] == "error"
-        assert row["objective"] == "2"
+        assert row["objective"] == "4"
 
 
 class TestParser:

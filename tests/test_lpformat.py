@@ -151,13 +151,19 @@ class TestParserDetails:
             parse_lp_text(DOC.replace(" a: x + 3 y >= 1", " a: x + 1 >= 2"))
 
     @pytest.mark.parametrize(
-        "row, error",
-        [(" a: x + x >= 1", "repeats a column"), (" a: 0 x + y >= 1", "a zero term")],
-        ids=["repeated-column", "zero-coefficient"],
+        "old, new, error",
+        [
+            (" a: x + 3 y >= 1", " a: x + x >= 1", "row a: repeats a column"),
+            (" a: x + 3 y >= 1", " a: 0 x + y >= 1", "row a: a zero term"),
+            (" obj: 2 x - y", " obj: x + x - y", "row obj: repeats a column"),
+            (" obj: 2 x - y", " obj: 2 x + 0 y", "row obj: a zero term"),
+        ],
+        ids=["repeated-column", "zero-coefficient", "objective-repeated-column",
+             "objective-zero-coefficient"],
     )
-    def test_row_outside_the_printed_dialect(self, row, error):
-        with pytest.raises(ValueError, match=f"row a: {error}"):
-            parse_lp_text(DOC.replace(" a: x + 3 y >= 1", row))
+    def test_row_outside_the_printed_dialect(self, old, new, error):
+        with pytest.raises(ValueError, match=error):
+            parse_lp_text(DOC.replace(old, new))
 
     @pytest.mark.parametrize("bound", [" y = 1", " y <= 0", " 0 <= y <= 1", " z = 0"])
     def test_bound_other_than_fixed_at_zero(self, bound):
