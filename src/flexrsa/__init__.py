@@ -1,10 +1,11 @@
 """flexrsa: exact restoration-oriented routing and spectrum allocation.
 
-Pipeline: instance JSON -> reach-based trimming -> MILP (base / notrim /
-trimmed; feasibility / maxsubset) -> solver (scipy's HiGHS in process, or
-an external solver subprocess over LP text) -> path extraction and
-verification. A brute-force oracle grounds every piece on
-small instances. The package is pure Python; trimming and the scenario
+Pipeline: instance JSON -> reach-based trimming -> fewest-hop first-fit
+against the hop lower bound, which answers without a model when it meets
+the bound -> MILP (base / notrim / trimmed; feasibility / maxsubset) ->
+solver (scipy's HiGHS in process, or an external solver subprocess over LP
+text) -> path extraction and verification. A brute-force oracle grounds
+every piece on small instances. The package is pure Python; trimming and the scenario
 generator's router share one Dijkstra (`flexrsa.trimming.dijkstra`).
 """
 

@@ -46,8 +46,6 @@ import numpy as np
 from .model import RestorationInstance, RoutedPath
 from .trimming import UsefulTripleSet, free_windows
 
-_UNSEEN = (float("inf"),)
-
 
 def _fewest_hops(out, lengths: list, s: int, t: int, reach: float, most: int):
     """The link positions, in walk order, of a fewest-hop walk from s to t of
@@ -59,7 +57,7 @@ def _fewest_hops(out, lengths: list, s: int, t: int, reach: float, most: int):
         for u, (d, _, _) in layers[-1].items():
             for e, v in out[u]:
                 nd = d + lengths[e]
-                if nd <= reach and nd < layer.get(v, _UNSEEN)[0]:
+                if nd <= reach and (v not in layer or nd < layer[v][0]):
                     layer[v] = (nd, e, u)
         if not layer:
             return None

@@ -8,11 +8,12 @@ the rows column-wise with every column binary to `passModel` as arrays, then
 calls `run`, `getInfo` and `getSolution`; the column values come back as
 one ndarray. These are the arrays that `scipy.optimize.milp` handed over
 before, without its Python loops over every column (an integrality list,
-bound marginals). The module is private to scipy, and only this one imports
-it: the golden digests of `tests/test_backend.py` lock what HiGHS receives.
-`HighsOutcome.seconds`
-(`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
-solution read back, the column-wise copy of the rows included.
+bound marginals). The module is private to scipy, and only this one loads
+it, by file (`_load_core`), so that a solve does not import
+`scipy.optimize`: the golden digests of `tests/test_backend.py` lock what
+HiGHS receives. `HighsOutcome.seconds` (`highs_seconds` in `meta.timings`)
+runs from the first HiGHS call to the solution read back, the column-wise
+copy of the rows included.
 
 `solve_lp_file` reads an LP file that `lpformat.emit_lp_text` printed back
 into the same matrix (`lpformat.parse_lp_text`), solves it the same way and
@@ -65,7 +66,7 @@ def _load_core():
     """scipy's compiled HiGHS bindings. The plain import runs
     `scipy.optimize/__init__` first, and with it `scipy.sparse` and the
     rest of `scipy.optimize` (0.4 s cold, against 9 ms for the extension
-    alone), so the extension is loaded by file from where scipy keeps it,
+    alone, with scipy 1.17.1 on 2 CPUs), so the extension is loaded by file from where scipy keeps it,
     under its own name, where a later `import scipy.optimize` finds it. A
     module scipy has already loaded is reused, and the plain import is the
     fallback if the file is not there."""

@@ -40,10 +40,12 @@ scans.
 The scan reads the network's index form (`OpticalNetwork.adj`, `ends`,
 `node_index`, and the free-slot matrix `free`) and builds no graph or
 spectrum matrix of its own; only numpy is needed. The module's Dijkstra is
-the package's only shortest-path search; the loader's first-fit router
-(:mod:`flexrsa.testgen`) uses it too, and `free_windows` is the one rule for
-which links can carry a color window (the MILP builder's notrim first colors
-come from it as well).
+the package's only shortest-path search by length; the loader's first-fit
+router (:mod:`flexrsa.testgen`) uses it too (the hop-layered search of
+:mod:`flexrsa.heuristic` answers another question, fewest hops within a
+reach), and `free_windows` is the one rule for which links can carry a
+color window (the MILP builder's notrim first colors and the hop bound's
+window graphs come from it as well).
 """
 
 from __future__ import annotations
