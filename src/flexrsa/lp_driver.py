@@ -66,10 +66,10 @@ def _load_core():
     """scipy's compiled HiGHS bindings. The plain import runs
     `scipy.optimize/__init__` first, and with it `scipy.sparse` and the
     rest of `scipy.optimize` (0.4 s cold, against 9 ms for the extension
-    alone, with scipy 1.17.1 on 2 CPUs), so the extension is loaded by file from where scipy keeps it,
-    under its own name, where a later `import scipy.optimize` finds it. A
-    module scipy has already loaded is reused, and the plain import is the
-    fallback if the file is not there."""
+    alone, with scipy 1.17.1 on 2 CPUs). So the extension is loaded by file
+    from where scipy keeps it, under its own name, where a later
+    `import scipy.optimize` finds it. A module scipy has already loaded is
+    reused, and the plain import is the fallback if the file is not there."""
     if CORE in sys.modules:
         return sys.modules[CORE]
     scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
