@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lpformat import emit_lp_text, var_name
+from .lpformat import column_names, emit_lp_text, var_name
 from .milp import MilpModel
 from .model import InputError
 
@@ -327,7 +327,7 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
             ERROR, message=f"solution file has no result; first line: {head!r}"
         )
     if values is not None:
-        values = [values.get(var_name(key), 0.0) for key in model.variables]
+        values = [values.get(name, 0.0) for name in column_names(model)]
     return finish(*_rounded(model, status, objective, values))
 
 

@@ -8,9 +8,10 @@ gets a distinct name:
     z_d<demand>_l<link>_<f|b>_w<first>   window on a directed link
     y_d<demand>                          maxsubset selector
 
-The writer prints a model's arrays (column keys, objective vector, bounds and
-CSR rows); it serves the subprocess solvers and `keep_files`, since the
-builtin solver takes the arrays themselves. The reader, used by
+The writer prints a model's arrays (column names formatted from the column
+table, objective vector, bounds and CSR rows), deriving no column key; it
+serves the subprocess solvers and `keep_files`, since the builtin solver
+takes the arrays themselves. The reader, used by
 `lp_driver.solve_lp_file`, reads the writer's dialect only and raises
 ValueError on anything else: `\\` comment lines, the headers above, the
 objective `obj:`, named rows `tag: [-] [mag] name (+|-) [mag] name ...
@@ -43,6 +44,19 @@ def var_name(key) -> str:
     if isinstance(key, SelectVar):
         return f"y_d{key.demand}"
     raise TypeError(f"unknown variable key {key!r}")
+
+
+def column_names(model: MilpModel) -> list:
+    """The name of every column, in column order: `var_name` of each key,
+    formatted straight from the column table."""
+    prefix, first = ("z", "w") if model.variant == "trimmed" else ("x", "c")
+    side = np.where(model.forward, "f", "b")
+    names = list(map(
+        f"{prefix}_d{{}}_l{{}}_{{}}_{first}{{}}".format, model.demand.tolist(),
+        model.link.tolist(), side.tolist(), model.color.tolist(),
+    ))
+    names += map("y_d{}".format, model.selectors.tolist())
+    return names
 
 
 def _fmt_num(x: float) -> str:
@@ -78,7 +92,7 @@ def _wrap(prefix: str, tokens: list[str], out: list[str]) -> None:
 
 def emit_lp_text(model: MilpModel) -> str:
     """Byte-deterministic LP document for the model, printed from its arrays."""
-    names = [var_name(key) for key in model.variables]
+    names = column_names(model)
     out: list[str] = [f"\\ flexrsa variant={model.variant} mode={model.mode}"]
     out.append("Minimize")
     objective = [(names[j], v) for j, v in enumerate(model.c.tolist()) if v]
@@ -95,10 +109,14 @@ def emit_lp_text(model: MilpModel) -> str:
         relation, rhs = row_relation(lower, upper)
         toks += [relation, _fmt_num(rhs)]
         _wrap(f" {tag}:", toks, out)
-    fixed = sorted(model.variables[j] for j in np.flatnonzero(model.ub == 0))
-    if fixed:
+    # only flow columns are fixed (base), listed in key order: by demand,
+    # link, backward before forward, then color
+    fixed = np.flatnonzero(model.ub == 0)
+    if len(fixed):
+        keys = (model.color, model.forward, model.link, model.demand)
+        fixed = fixed[np.lexsort(tuple(k[fixed] for k in keys))]
         out.append("Bounds")
-        out.extend(f" {var_name(key)} = 0" for key in fixed)
+        out.extend(f" {names[j]} = 0" for j in fixed.tolist())
     out.append("Binary")
     out.extend(f" {name}" for name in names)
     out.append("End")

@@ -29,8 +29,9 @@ demands are routed by rewarding each selected demand more than any flow could
 cost.
 
 The builder is a pure function that writes the solver matrix directly: an
-objective vector, column upper bounds, and one CSR row matrix with row
-bounds. Columns come out in demand, link, direction (forward first), color
+objective vector, column upper bounds, and one row matrix with row bounds,
+held as plain CSR arrays (`Csr`; numpy only, so building a model loads no
+scipy). Columns come out in demand, link, direction (forward first), color
 order, then the selectors; in ``base`` and ``notrim`` both directions of a
 link have the same colors. The columns are a table of arrays (demand, link,
 direction, color), read off sorted flat indices of the trimmed arcs (a mask
@@ -43,7 +44,7 @@ once into row order and term order, and handed to `Rows.block` whole with
 the rows' bounds. The contiguity families of ``base`` and ``notrim`` are one
 block with a row per column of a wider-than-one demand, in column order; a
 table keyed by (arc, color) gives the columns of a row's colors, and each
-row's terms come out merged. `Rows` is the one way from rows to a CSR
+row's terms come out merged. `Rows` is the one way from rows to a `Csr`
 matrix; `lpformat.parse_lp_text` puts the rows of an LP file through it as
 one block too. The builder reads the network's own index form (link `ends`,
 `node_index`, `link_index`), and the notrim windows and the base variant's
@@ -63,15 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .model import InputError, RestorationInstance
 from .trimming import UsefulTripleSet, free_windows
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 VARIANTS = ("base", "notrim", "trimmed")
 MODES = ("feasibility", "maxsubset")
@@ -126,6 +124,21 @@ def _joined_names(parts) -> tuple:
     """The row names of `Rows.parts`, in order: each block's callable gives
     its names."""
     return tuple(chain.from_iterable(p() for p in parts))
+
+
+class Csr(NamedTuple):
+    """A row matrix as plain CSR arrays: row i holds the columns
+    indices[indptr[i]:indptr[i + 1]], with the values data[...] (int64
+    pointers and indices, float64 values)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple  # (rows, columns)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -190,17 +203,14 @@ class Rows:
         self.blocks.append((np.bincount(row, minlength=count), cols, vals, *bounds))
 
     def matrix(self, n_cols: int):
-        """(a, lower, upper): the rows as a CSR matrix over n_cols columns;
+        """(a, lower, upper): the rows as a `Csr` matrix over n_cols columns;
         a column outside range(n_cols) is refused."""
-        from scipy import sparse  # deferred: commands that build no model skip scipy
-
         counts, cols, vals, lower, upper = map(np.concatenate, zip(*self.blocks))
         if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError(f"a column outside range({n_cols})")
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        a = sparse.csr_array((vals, cols, indptr), shape=(len(counts), n_cols))
-        return a, lower, upper
+        return Csr(indptr, cols, vals, (len(counts), n_cols)), lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +232,7 @@ class MilpModel:
     mode: str
     c: np.ndarray
     ub: np.ndarray
-    a: sparse.csr_array
+    a: Csr
     lower: np.ndarray
     upper: np.ndarray
     demand: np.ndarray

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import OptimizeWarning
 
@@ -32,11 +34,12 @@ from flexrsa.lp_driver import (
     MatrixFormat,
     ObjSense,
     _Highs,
+    columnwise,
     solve_highs,
     solve_lp_file,
 )
 from flexrsa.lpformat import emit_lp_text
-from flexrsa.milp import WindowVar, build_model
+from flexrsa.milp import Csr, WindowVar, build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.testgen import (
     MODULATION_REACH_KM,
@@ -147,6 +150,11 @@ class TestBuiltinSolver:
                         assert len(values) == len(model.variables)
 
 
+def scipy_tocsc(a):
+    """scipy's own column-wise copy of the `Csr` matrix a, the reference."""
+    return sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape).tocsc()
+
+
 def highs_input(model, monkeypatch):
     """The arrays and settings that the builtin solve hands to HiGHS for the
     model. HiGHS takes the rows column-wise; the matrix is checked to be the
@@ -172,9 +180,10 @@ def highs_input(model, monkeypatch):
     assert (form, sense, offset) == (int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0)
     assert lower_x.tolist() == [0.0] * n
     assert integrality.tolist() == [int(HighsVarType.kInteger)] * n
-    cols = sparse.csc_array((value, index, start), shape=model.a.shape)
-    assert cols.has_canonical_format
-    assert (cols != model.a).nnz == 0
+    want = scipy_tocsc(model.a)
+    assert want.has_canonical_format
+    for got, ref in ((start, want.indptr), (index, want.indices), (value, want.data)):
+        assert got.tolist() == ref.tolist()
     seen.update(
         c=c, indptr=model.a.indptr, indices=model.a.indices, data=model.a.data,
         lower=lower, upper=upper, ub=ub,
@@ -190,6 +199,37 @@ def highs_input_digest(arrays) -> str:
         dtype = np.int64 if name in ("indptr", "indices") else np.float64
         h.update(np.ascontiguousarray(arrays[name], dtype=dtype).tobytes())
     return h.hexdigest()
+
+
+@st.composite
+def csr_matrices(draw):
+    """A `Csr` matrix of up to 6 x 6, zero rows or columns included: each
+    row holds distinct columns in any order, with nonzero values."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = st.sampled_from([1.0, -1.0, 2.5, -0.5, 3.0])
+    rows = [
+        draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), values), unique_by=lambda t: t[0],
+                      max_size=n))
+        for _ in range(m)
+    ]
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    terms = [t for r in rows for t in r]
+    indices = np.array([j for j, _ in terms], dtype=np.int64)
+    data = np.array([v for _, v in terms], dtype=np.float64)
+    return Csr(indptr, indices, data, (m, n))
+
+
+class TestColumnwise:
+    @settings(max_examples=200, deadline=None)
+    @given(csr_matrices())
+    def test_equals_scipy_tocsc(self, a):
+        # the copy HiGHS takes is scipy's own column-wise copy, array for
+        # array: rows ascending within each column
+        start, index, value = columnwise(a)
+        want = scipy_tocsc(a)
+        assert start.tolist() == want.indptr.tolist()
+        assert index.tolist() == want.indices.tolist()
+        assert value.tolist() == want.data.tolist()
 
 
 class TestHighsInputGolden:

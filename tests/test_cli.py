@@ -81,8 +81,9 @@ class TestTrim:
         assert doc["meta"]["infeasible"] is True
 
     def test_import_and_trim_leave_scipy_unloaded(self, t1_file, tmp_path):
-        # scipy loads on the first solver matrix only; a fresh interpreter
-        # shows whether importing the CLI or trimming pulls it in
+        # scipy's HiGHS bindings load on the first builtin solve only; a
+        # fresh interpreter shows whether importing the CLI or trimming
+        # pulls scipy in
         out = tmp_path / "trim.json"
         code = (
             "import sys\n"
@@ -172,28 +173,38 @@ class TestSolve:
         assert read_json(out)["meta"]["solver_log"] == str(work / "solver.log")
 
     @pytest.mark.parametrize(
-        "suffixes, printed",
-        [(None, "False True"), ([], "True True")],
-        ids=["by-file", "plain-import"],
+        "suffixes, options, printed",
+        [
+            (None, [], "False True False"),
+            ([], [], "True True True"),
+            (None, ["--keep-files"], "False True False"),
+            (None, ["--variant", "base"], "False True False"),
+        ],
+        ids=["by-file", "plain-import", "keep-files", "base"],
     )
     def test_builtin_solve_loads_the_highs_bindings_alone(
-        self, contested_file, tmp_path, suffixes, printed
+        self, contested_file, tmp_path, suffixes, options, printed
     ):
-        # the bindings load by file, without scipy.optimize; with no
-        # extension file found, the plain import serves the solve instead
+        # the bindings load by file, and the model's rows are numpy arrays:
+        # a solve that builds a model, prints its LP text or solves base
+        # loads neither scipy.optimize nor scipy.sparse. With no extension
+        # file found, the plain import serves the solve instead
         out = tmp_path / "sol.json"
+        argv = ["solve", contested_file, "--solver", "builtin", "-o", str(out),
+                "--workdir", str(tmp_path / "work"), *options]
         code = (
             "import importlib.machinery, sys\n"
             + (f"importlib.machinery.EXTENSION_SUFFIXES[:] = {suffixes!r}\n"
                if suffixes is not None else "")
             + "import flexrsa.cli\n"
-            f"argv = ['solve', {contested_file!r}, '--solver', 'builtin', '-o', {str(out)!r}]\n"
-            "assert flexrsa.cli.main(argv) == 0\n"
+            f"assert flexrsa.cli.main({argv!r}) == 0\n"
             "print('scipy.optimize' in sys.modules,"
-            " 'scipy.optimize._highspy._core' in sys.modules)\n"
+            " 'scipy.optimize._highspy._core' in sys.modules,"
+            " 'scipy.sparse' in sys.modules)\n"
         )
         assert fresh_interpreter(code) == printed
         assert read_json(out)["meta"]["solver_stats"]["mip_dual_bound"] == 3
+        assert (tmp_path / "work" / "model.lp").exists() == ("--keep-files" in options)
 
     def test_stdout_holds_one_json_document(self, t1_file, capfd):
         # fd level: HiGHS would print from C, past sys.stdout

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexrsa.lpformat import emit_lp_text, parse_lp_text, var_name
+from flexrsa.lpformat import column_names, emit_lp_text, parse_lp_text, var_name
 from flexrsa.milp import FlowVar, SelectVar, WindowVar, build_model
 from flexrsa.model import RestorationInstance
 from flexrsa.trimming import compute_useful_triples
@@ -28,6 +28,20 @@ class TestVariableNames:
                 FlowVar(1, 1, False, 11), WindowVar(1, 1, True, 11),
                 WindowVar(1, 1, False, 11), SelectVar(1), SelectVar(11)]
         assert len({var_name(key) for key in keys}) == len(keys)
+
+    @pytest.mark.parametrize("variant, mode", [("base", "maxsubset"), ("trimmed", "maxsubset")])
+    def test_column_names_are_the_key_names(self, cut_off_window, variant, mode):
+        # formatted from the column table, the names are those of the keys;
+        # the fixed columns of base are listed in key order, which puts a
+        # link's backward columns before its forward ones
+        inst = cut_off_window
+        model = build_model(inst, compute_useful_triples(inst), variant, mode)
+        assert column_names(model) == [var_name(k) for k in model.variables]
+        fixed = sorted(k for k, ub in zip(model.variables, model.ub) if ub == 0)
+        assert bool(fixed) == (variant == "base")
+        text = emit_lp_text(model)
+        bounds = text.split("Bounds\n")[1].split("Binary")[0] if fixed else ""
+        assert bounds == "".join(f" {var_name(k)} = 0\n" for k in fixed)
 
 
 class TestEmission:
@@ -123,7 +137,10 @@ class TestParserDetails:
         assert names == ["x", "y"]
         assert c.tolist() == [2.0, -1.0]
         assert row_names == ("a", "b")
-        assert a.toarray().tolist() == [[1.0, 3.0], [-1.0, -0.5]]
+        assert a.shape == (2, 2)
+        assert a.indptr.tolist() == [0, 2, 4]
+        assert a.indices.tolist() == [0, 1, 0, 1]
+        assert a.data.tolist() == [1.0, 3.0, -1.0, -0.5]
         assert lower.tolist() == [1.0, -1.0]
         assert upper.tolist() == [np.inf, -1.0]
         assert ub.tolist() == [1.0, 0.0]
