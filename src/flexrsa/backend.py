@@ -260,22 +260,25 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     wall_seconds covers the whole solve: for a subprocess solver, LP
     emission, the process and the parsing of its solution file.
     """
+    # HiGHS reports a model without columns as model status Empty, an error
+    # outcome: only this short-cut answers it
     if not len(model.c):
         return _evaluate_without_solver(model)
 
     start = time.perf_counter()
     solver_name, template = resolve_solver(config.solver)
+    workdir = None
+    if template is not None or config.keep_files:
+        workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
+        os.makedirs(workdir, exist_ok=True)
+        with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
+            fh.write(emit_lp_text(model))
     if template is None:
-        return _solve_builtin(model, config, start)
+        return _solve_builtin(model, config, start, workdir)
     owns_dir = config.workdir is None
-    workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
-    os.makedirs(workdir, exist_ok=True)
     lp_file = os.path.join(workdir, "model.lp")
     sol_file = os.path.join(workdir, "model.sol")
     log_file = os.path.join(workdir, "solver.log")
-
-    with open(lp_file, "w", encoding="utf-8") as fh:
-        fh.write(emit_lp_text(model))
 
     subst = {
         "lp_file": lp_file,
@@ -331,17 +334,14 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     return finish(*_rounded(model, status, objective, values))
 
 
-def _solve_builtin(model: MilpModel, config: SolverConfig, start: float) -> SolveOutcome:
-    """HiGHS in this process, straight from the model. Files only with
-    keep_files: model.lp and a summary solver.log."""
+def _solve_builtin(
+    model: MilpModel, config: SolverConfig, start: float, workdir: Optional[str]
+) -> SolveOutcome:
+    """HiGHS in this process, straight from the model. workdir is None
+    unless keep_files is set; then `solve` has written model.lp there, and a
+    summary solver.log goes next to it."""
     from .lp_driver import solve_highs  # deferred: it imports this module, and scipy
 
-    workdir = None
-    if config.keep_files:
-        workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
-        os.makedirs(workdir, exist_ok=True)
-        with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
-            fh.write(emit_lp_text(model))
     result = solve_highs(
         model.c, model.a, model.lower, model.upper, model.ub, config.time_limit
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import cli
-from .io import load_instance
+from .io import load_instance, read_json
 from .model import InputError
 
 # vary between reruns; a phase that did not run (no hop bound after a
@@ -61,6 +60,8 @@ class BenchCase:
 
 
 def discover_cases(corpus_dir: str) -> list:
+    """The corpus's instances with their manifests; a case whose manifest
+    is not a JSON object is skipped with a line on stderr."""
     cases = []
     for entry in sorted(os.listdir(corpus_dir)):
         if not entry.endswith(".json"):
@@ -71,8 +72,13 @@ def discover_cases(corpus_dir: str) -> list:
         manifest_path = path[: -len(".json")] + ".manifest.json"
         manifest = {}
         if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            try:
+                manifest = read_json(manifest_path)
+                if not isinstance(manifest, dict):
+                    raise InputError(f"{manifest_path}: manifest must be a JSON object")
+            except InputError as exc:
+                print(f"bench: skipping {path}: {exc}", file=sys.stderr)
+                continue
         cases.append(BenchCase(entry[: -len(".json")], path, manifest))
     return cases
 
@@ -107,7 +113,7 @@ def run_cell(
 
 
 def run_bench(
-    corpus_dir: str,
+    cases: list,
     variants=("base", "notrim", "trimmed"),
     solvers=("auto",),
     mode: str = "feasibility",
@@ -115,7 +121,7 @@ def run_bench(
     jobs: int = 2,
 ) -> list:
     cells = []
-    for case in discover_cases(corpus_dir):
+    for case in cases:
         t0 = time.perf_counter()
         try:
             instance = load_instance(case.path)

@@ -351,15 +351,15 @@ def cmd_validate(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import discover_cases, rows_to_csv, rows_to_markdown, run_bench
 
+    cases = discover_cases(args.corpus_dir)
     rows = run_bench(
-        args.corpus_dir,
+        cases,
         variants=tuple(args.variants.split(",")),
         solvers=tuple(args.solvers.split(",")),
         mode=args.mode,
         time_limit=args.time_limit,
         jobs=args.jobs,
     )
-    cases = discover_cases(args.corpus_dir)
     csv_text = rows_to_csv(rows)
     md_text = rows_to_markdown(rows, cases, exclude_over=args.exclude_over)
     with open(args.csv, "w", encoding="utf-8") as fh:

@@ -165,7 +165,7 @@ def instance_to_dict(instance: RestorationInstance) -> dict:
     }
 
 
-def _read_json(path: str) -> Any:
+def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -174,12 +174,12 @@ def _read_json(path: str) -> Any:
 
 
 def load_instance(path: str) -> RestorationInstance:
-    return instance_from_dict(_read_json(path))
+    return instance_from_dict(read_json(path))
 
 
 def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
     """{demand id: RoutedPath} of a solution file's "paths" entries."""
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("/: solution document must be a JSON object")
     entries = data.get("paths", [])

@@ -4,20 +4,18 @@
 and their bounds, column upper bounds) to HiGHS through the bindings that
 scipy bundles, `scipy.optimize._highspy._core`; `backend.solve` calls it for
 `--solver builtin`. It sets each of `SETTINGS` by `setOptionValue`, passes
-the rows column-wise with every column binary to `passModel` as arrays, then
-calls `run`, `getInfo` and `getSolution`; the column values come back as
-one ndarray. These are the arrays that `scipy.optimize.milp` handed over
-before, without its Python loops over every column (an integrality list,
-bound marginals). The column-wise copy (`columnwise`) is one stable numpy
-sort of the model's CSR column indices (`milp.Csr`), which keeps each
-column's rows ascending, as scipy's `tocsc` does. The module is private to
-scipy, and only this one loads it, by file (`_load_core`): that is the
-package's one import of scipy, so a solve imports neither `scipy.optimize`
-nor `scipy.sparse` (`tests/test_imports.py` reads every import statement
-to keep it so). The golden digests of `tests/test_backend.py` lock what
-HiGHS receives. `HighsOutcome.seconds` (`highs_seconds` in `meta.timings`)
-runs from the first HiGHS call to the solution read back, the column-wise
-copy of the rows included.
+the model's own CSR arrays (`milp.Csr`) row-wise, with every column binary,
+to `passModel`, then calls `run`, `getInfo` and `getSolution`; the column
+values come back as one ndarray. HiGHS makes its column-wise copy itself,
+each column's rows ascending, the arrays scipy's `tocsc` gives (which
+`tests/test_backend.py` reads back from HiGHS to check). The module is
+private to scipy, and only this one loads it, by file (`_load_core`): that
+is the package's one import of scipy, so a solve imports neither
+`scipy.optimize` nor `scipy.sparse` (`tests/test_imports.py` reads every
+import statement to keep it so). The golden digests of
+`tests/test_backend.py` lock what HiGHS receives. `HighsOutcome.seconds`
+(`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
+solution read back.
 
 `solve_lp_file` reads an LP file that `lpformat.emit_lp_text` printed back
 into the same matrix (`lpformat.parse_lp_text`), solves it the same way and
@@ -129,18 +127,6 @@ SETTINGS = MappingProxyType(
 )
 
 
-def columnwise(a):
-    """(start, index, value): the rows of the `milp.Csr` matrix a,
-    column-wise, as HiGHS takes them. Column j holds the rows
-    index[start[j]:start[j + 1]], ascending, with their values; one stable
-    sort of the column indices keeps each column's rows in row order."""
-    order = np.argsort(a.indices, kind="stable")
-    rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
-    start = np.zeros(a.shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=start[1:])
-    return start, rows[order], a.data[order]
-
-
 def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
     """Minimize c.x over binary x <= ub with lower <= a.x <= upper, by HiGHS
     with `SETTINGS`. A setting or a model that HiGHS refuses, and a solver
@@ -165,11 +151,10 @@ def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
             if highs.setOptionValue(name, value) != HighsStatus.kOk:
                 return outcome(ERROR, f"HiGHS refused the setting {name}={value!r}")
         n = len(c)
-        col_start, col_rows, col_values = columnwise(a)
         if highs.passModel(
-            n, a.shape[0], a.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize),
-            0.0, c, np.zeros(n), ub, lower, upper, col_start.astype(np.int32),
-            col_rows.astype(np.int32), col_values,
+            n, a.shape[0], a.nnz, int(MatrixFormat.kRowwise), int(ObjSense.kMinimize),
+            0.0, c, np.zeros(n), ub, lower, upper, a.indptr.astype(np.int32),
+            a.indices.astype(np.int32), a.data,
             np.full(n, int(HighsVarType.kInteger), dtype=np.int32),
         ) == HighsStatus.kError:
             return outcome(ERROR, "HiGHS refused the model")

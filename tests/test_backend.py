@@ -30,11 +30,11 @@ from flexrsa.backend import (
 from flexrsa.io import load_instance, save_instance
 from flexrsa.lp_driver import (
     SETTINGS,
+    HighsStatus,
     HighsVarType,
     MatrixFormat,
     ObjSense,
     _Highs,
-    columnwise,
     solve_highs,
     solve_lp_file,
 )
@@ -155,11 +155,10 @@ def scipy_tocsc(a):
     return sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape).tocsc()
 
 
-def highs_input(model, monkeypatch):
-    """The arrays and settings that the builtin solve hands to HiGHS for the
-    model. HiGHS takes the rows column-wise; the matrix is checked to be the
-    model's rows and returned as the model's CSR arrays, whose order within
-    a row the digests lock too."""
+def capture_highs(monkeypatch, call):
+    """Run call() with HiGHS recording every setting, the `passModel`
+    arguments and the matrix it holds once it has the model (`getLp`), then
+    stopping the solve before `run`."""
     seen = {"options": {}}
 
     class Capture(_Highs):
@@ -169,24 +168,46 @@ def highs_input(model, monkeypatch):
 
         def passModel(self, *args):
             seen["args"] = args
+            seen["passed"] = super().passModel(*args)
+            held = self.getLp().a_matrix_
+            seen["held"] = (held.format_, held.start_, held.index_, held.value_)
             raise RuntimeError("captured")
 
     monkeypatch.setattr("flexrsa.lp_driver._Highs", Capture)
-    solve(model, BUILTIN)
+    call()
     monkeypatch.undo()
+    return seen
+
+
+def assert_holds_tocsc(seen, a):
+    """HiGHS took the model and holds scipy's column-wise copy of a, array
+    for array: each column's rows ascending."""
+    assert seen["passed"] == HighsStatus.kOk
+    want = scipy_tocsc(a)
+    assert want.has_canonical_format
+    form, start, index, value = seen["held"]
+    assert form == MatrixFormat.kColwise
+    assert start == want.indptr.tolist()
+    assert index == want.indices.tolist()
+    assert value == want.data.tolist()
+
+
+def highs_input(model, monkeypatch):
+    """The arrays and settings that the builtin solve hands to HiGHS for the
+    model. HiGHS takes the model's own CSR arrays row-wise, and the copy it
+    holds is checked against scipy's column-wise one."""
+    seen = capture_highs(monkeypatch, lambda: solve(model, BUILTIN))
     (n, m, nnz, form, sense, offset, c, lower_x, ub, lower, upper,
      start, index, value, integrality) = seen.pop("args")
     assert (n, m, nnz) == (len(model.c), *model.a.shape[:1], model.a.nnz)
-    assert (form, sense, offset) == (int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0)
+    assert (form, sense, offset) == (int(MatrixFormat.kRowwise), int(ObjSense.kMinimize), 0.0)
     assert lower_x.tolist() == [0.0] * n
     assert integrality.tolist() == [int(HighsVarType.kInteger)] * n
-    want = scipy_tocsc(model.a)
-    assert want.has_canonical_format
-    for got, ref in ((start, want.indptr), (index, want.indices), (value, want.data)):
-        assert got.tolist() == ref.tolist()
+    for got, own in ((start, model.a.indptr), (index, model.a.indices), (value, model.a.data)):
+        assert got.tolist() == own.tolist()
+    assert_holds_tocsc(seen, model.a)
     seen.update(
-        c=c, indptr=model.a.indptr, indices=model.a.indices, data=model.a.data,
-        lower=lower, upper=upper, ub=ub,
+        c=c, indptr=start, indices=index, data=value, lower=lower, upper=upper, ub=ub,
     )
     return seen
 
@@ -219,17 +240,18 @@ def csr_matrices(draw):
     return Csr(indptr, indices, data, (m, n))
 
 
-class TestColumnwise:
+class TestHighsMatrix:
     @settings(max_examples=200, deadline=None)
     @given(csr_matrices())
-    def test_equals_scipy_tocsc(self, a):
-        # the copy HiGHS takes is scipy's own column-wise copy, array for
-        # array: rows ascending within each column
-        start, index, value = columnwise(a)
-        want = scipy_tocsc(a)
-        assert start.tolist() == want.indptr.tolist()
-        assert index.tolist() == want.indices.tolist()
-        assert value.tolist() == want.data.tolist()
+    def test_holds_scipy_tocsc(self, a):
+        # HiGHS takes the rows as the solve hands them over and holds
+        # scipy's own column-wise copy of them
+        m, n = a.shape
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = capture_highs(monkeypatch, lambda: solve_highs(
+                np.zeros(n), a, np.full(m, -np.inf), np.full(m, np.inf), np.ones(n), 60.0
+            ))
+        assert_holds_tocsc(seen, a)
 
 
 class TestHighsInputGolden:

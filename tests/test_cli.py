@@ -634,6 +634,33 @@ class TestBench:
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert len(lines) == 2  # header + the one real instance
 
+    @pytest.mark.parametrize(
+        "manifest, reason",
+        [("{not json", "invalid JSON"), ('[{"kind": "first"}]', "must be a JSON object")],
+        ids=["invalid-json", "array"],
+    )
+    def test_skips_a_case_with_a_malformed_manifest(
+        self, tmp_path, t1, capsys, manifest, reason
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("bad", "good"):
+            save_instance(t1, str(corpus / f"{name}.json"))
+        (corpus / "bad.manifest.json").write_text(manifest)
+        (corpus / "good.manifest.json").write_text('{"kind": "first", "broken_link": 1}')
+        csv_path = tmp_path / "b.csv"
+        assert main(
+            ["bench", str(corpus), "--solvers", "builtin", "--time-limit", "60",
+             "--variants", "trimmed", "--csv", str(csv_path), "--md", str(tmp_path / "b.md")]
+        ) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"bench: skipping {corpus / 'bad.json'}: {corpus / 'bad.manifest.json'}: ")
+        assert reason in line
+        (row,) = read_csv_rows(csv_path)
+        assert (row["case"], row["kind"], row["broken_link"], row["status"]) == (
+            "good", "first", "1", "optimal"
+        )
+
     def test_instance_named_like_a_solution_gets_rows(self, tmp_path, t1):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
