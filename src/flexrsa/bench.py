@@ -4,9 +4,9 @@ directory and report a per-cell CSV plus an aggregated Markdown table
 over the cells that built a model: trimming may prove infeasibility first).
 
 Every cell is one `cli.answer`, the pipeline behind `flexrsa solve`, so a
-cell's status and objective are those of `flexrsa solve` on the same
-instance, variant and mode: maxsubset excludes non-re-routable demands, and
-an optimal or feasible answer that is not certified is `error`.
+cell's status, proven_by and objective are those of `flexrsa solve` on the
+same instance, variant and mode: maxsubset excludes non-re-routable demands,
+and an optimal or feasible answer that is not certified is `error`.
 
 Instances are `*.json` files; a sibling `<name>.manifest.json` (as written by
 `flexrsa gen`) supplies the grouping metadata (kind, modulation, broken link).
@@ -39,7 +39,7 @@ TIMING_COLUMNS = (
 )
 CSV_COLUMNS = [
     "case", "kind", "modulation", "broken_link", "variant", "solver",
-    "variables", "constraints", *TIMING_COLUMNS, "status", "objective",
+    "variables", "constraints", *TIMING_COLUMNS, "status", "proven_by", "objective",
 ]
 
 
@@ -108,6 +108,7 @@ def run_cell(
         "constraints": model.get("constraints", ""),
         **{column: timings.get(column, "") for column in TIMING_COLUMNS},
         "status": cli.reported_status(doc),
+        "proven_by": doc["meta"]["proven_by"],
         "objective": "" if doc["objective"] is None else doc["objective"],
     }
 

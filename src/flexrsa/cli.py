@@ -1,21 +1,22 @@
 """Command-line interface.
 
 Subcommands: trim, solve, oracle, gen, validate, bench.
-`solve` and `bench` answer through one function, `answer`: trim, then the
-hop bound, then build, solve, extract, verify. Trimming alone can prove
-infeasibility (`meta.proven_by: "trimming"`). Next, a fewest-hop first-fit
-routing that meets the hop lower bound (`heuristic.hop_bound_routing`) and
-passes `verify_solution` is the answer, `optimal` with
-`meta.proven_by: "hop_bound"`, and no model is built and no solver runs.
-Otherwise the MILP decides. An answer is certified iff its paths were
-extracted or placed and passed `verify_solution`.
+`solve` and `bench` answer through one function, `answer`, and
+`meta.proven_by` names what decided each answer. Trimming alone can prove
+infeasibility ("trimming"). Otherwise a fewest-hop first-fit routing that
+meets the hop lower bound (`heuristic.hop_bound_routing`) is `optimal`
+("hop_bound"), and no model is built and no solver runs; without one, the
+MILP is built, solved and its paths extracted ("milp"). Either routing is
+then verified in one place: an answer is certified iff its paths passed
+`verify_solution`.
 Exit codes for `solve`/`oracle`: 0 feasible, 10 infeasible, 20 time limit,
 1 error, including an optimal or feasible `solve` answer that is not
 certified (its solution JSON is still written, with `meta.verified: false`
 and, when extraction failed, `meta.extraction_error`). A solve that keeps
 its solver log (a failed external solve, or `--keep-files`) names it in
-`meta.solver_log`. `validate` exits 0 only on a clean report. Every
-artifact embeds seed, variant, solver identity and tool version.
+`meta.solver_log`. `validate` exits 0 only on a clean report, which needs
+a path for every demand the file claims as routed (`io.load_solution`).
+Every artifact embeds seed, variant, solver identity and tool version.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .extract import (
     verify_solution,
 )
 from .heuristic import hop_bound_routing
-from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution_paths
+from .io import dump_json, dumps_json, instance_to_dict, load_instance, load_solution
 from .milp import build_model, model_statistics
 from .model import InputError, RestorationInstance
 from .oracle import OracleGuard, OracleGuardError, oracle_solve
@@ -94,18 +95,21 @@ def _resolve_topology(arg: str) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _timed(timings: dict, phase: str, fn, *args):
+    """fn(*args), its wall time recorded as timings[phase] even if it raises."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        timings[phase] = round(time.perf_counter() - t0, 6)
+
+
 def cmd_trim(args) -> int:
     instance = load_instance(args.instance)
-    t0 = time.perf_counter()
-    triples = compute_useful_triples(instance)
-    trim_seconds = time.perf_counter() - t0
+    meta = {"instance": args.instance, "tool_version": __version__}
+    triples = _timed(meta, "trim_seconds", compute_useful_triples, instance)
     doc = triples_to_dict(triples, instance)
-    doc["meta"] = {
-        "instance": args.instance,
-        "tool_version": __version__,
-        "trim_seconds": round(trim_seconds, 6),
-        "infeasible": bool(triples.non_reroutable),
-    }
+    doc["meta"] = {**meta, "infeasible": bool(triples.non_reroutable)}
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -115,36 +119,33 @@ def answer(
 ) -> dict:
     """The solution document of one instance, for both `solve` and `bench`.
 
-    A non-re-routable demand proves infeasibility in feasibility mode and is
-    excluded in maxsubset mode. A verified routing that meets the hop lower
-    bound is then the answer, with `meta.proven_by` "hop_bound" and
-    `meta.timings.bound_seconds` for the attempt either way. `objective` is
-    the slot count in feasibility mode and the number of restored demands in
-    maxsubset mode, as in `oracle`. Past the bound, `status` is the
-    solver's; `meta.verified` is true iff the paths were extracted and
-    passed `verify_solution`. The layers are called through this module's
-    globals, so a caller can wrap them.
+    One pass: a non-re-routable demand proves infeasibility in feasibility
+    mode and is excluded in maxsubset mode; then the routing is the hop
+    bound's or, when it has none, the MILP's (build, solve, extract); then
+    one tail verifies that routing. `meta.proven_by` names what decided:
+    "trimming", "hop_bound" or "milp". `objective` is the slot count in
+    feasibility mode and the number of restored demands in maxsubset mode,
+    as in `oracle`. A MILP answer's `status` is the solver's. `meta.verified`
+    is true iff the routing passed `verify_solution`. The layers are called
+    through this module's globals, so a caller can wrap them.
     """
-    t0 = time.perf_counter()
-    triples = compute_useful_triples(instance)
-    trim_seconds = time.perf_counter() - t0
-
+    timings: dict = {}
     meta = {
         "variant": variant,
         "mode": mode,
         "solver": config.solver,
         "time_limit": config.time_limit,
         "tool_version": __version__,
-        "timings": {"trim_seconds": round(trim_seconds, 6)},
+        "timings": timings,
         "solver_invoked": False,
     }
-
+    triples = _timed(timings, "trim_seconds", compute_useful_triples, instance)
     excluded = sorted(triples.non_reroutable)
-    if mode == "feasibility" and excluded:
+    if excluded and mode == "feasibility":
         meta["proven_by"] = "trimming"
         meta["non_reroutable"] = excluded
         return solution_to_dict(INFEASIBLE, None, None, None, meta)
-    if mode == "maxsubset" and excluded:
+    if excluded:
         meta["excluded_non_reroutable"] = excluded
         # trimming is per demand: the triples of the kept demands stay valid
         instance = RestorationInstance(
@@ -152,62 +153,53 @@ def answer(
             tuple(d for d in instance.demands if d.id not in excluded),
         )
 
-    t0 = time.perf_counter()
-    paths = hop_bound_routing(instance, triples)
-    meta["timings"]["bound_seconds"] = round(time.perf_counter() - t0, 6)
-    if paths is not None:
-        t0 = time.perf_counter()
-        report = verify_solution(paths, instance)
-        if report.ok:  # a routing that fails verification falls through to the model
-            meta["timings"]["verify_seconds"] = round(time.perf_counter() - t0, 6)
-            meta["proven_by"] = "hop_bound"
-            meta["verified"] = True
-            result = ExtractResult(paths)
-            objective = result.total_slots()
-            if mode == "maxsubset":  # every kept demand is restored
-                result.restored = frozenset(paths)
-                objective = len(paths)
-            return solution_to_dict(OPTIMAL, objective, result, report, meta)
+    paths = _timed(timings, "bound_seconds", hop_bound_routing, instance, triples)
+    if paths is not None:  # every demand placed at the least cost
+        meta["proven_by"] = "hop_bound"
+        status = OPTIMAL
+        result = ExtractResult(paths)
+        objective = result.total_slots()
+        if mode == "maxsubset":
+            result.restored = frozenset(paths)
+            objective = len(paths)
+    else:
+        meta["proven_by"] = "milp"
+        model = _timed(
+            timings, "build_seconds", build_model, instance, triples, variant, mode
+        )
+        meta["model"] = model_statistics(model)
+        outcome = backend_solve(model, config)
+        meta["solver_invoked"] = outcome.solver_name != "trivial"
+        meta["solver_name"] = outcome.solver_name
+        timings["solve_seconds"] = round(outcome.wall_seconds, 6)
+        if outcome.highs_seconds is not None:
+            timings["highs_seconds"] = round(outcome.highs_seconds, 6)
+        if outcome.solver_stats is not None:
+            meta["solver_stats"] = outcome.solver_stats
+        if outcome.message:
+            meta["solver_message"] = outcome.message
+        if outcome.log_path:
+            meta["solver_log"] = outcome.log_path
+        status, objective = outcome.status, outcome.objective
+        if mode == "maxsubset":  # the restored count, as `oracle` reports it, not the big-M cost
+            objective = None
+            if outcome.chosen is not None:  # only selectors have negative cost
+                objective = int((model.c[outcome.chosen] < 0).sum())
+        result = None
+        if outcome.chosen is not None:
+            try:
+                result = _timed(
+                    timings, "extract_seconds", extract_paths, outcome.chosen, model, instance
+                )
+            except ExtractionError as exc:
+                meta["extraction_error"] = str(exc)
+                meta["verified"] = False
 
-    t0 = time.perf_counter()
-    model = build_model(instance, triples, variant, mode)
-    build_seconds = time.perf_counter() - t0
-    meta["timings"]["build_seconds"] = round(build_seconds, 6)
-    meta["model"] = model_statistics(model)
-
-    outcome = backend_solve(model, config)
-    meta["solver_invoked"] = outcome.solver_name != "trivial"
-    meta["solver_name"] = outcome.solver_name
-    meta["timings"]["solve_seconds"] = round(outcome.wall_seconds, 6)
-    if outcome.highs_seconds is not None:
-        meta["timings"]["highs_seconds"] = round(outcome.highs_seconds, 6)
-    if outcome.solver_stats is not None:
-        meta["solver_stats"] = outcome.solver_stats
-    if outcome.message:
-        meta["solver_message"] = outcome.message
-    if outcome.log_path:
-        meta["solver_log"] = outcome.log_path
-
-    objective = outcome.objective
-    if mode == "maxsubset":  # the restored count, as `oracle` reports it, not the big-M cost
-        objective = None
-        if outcome.chosen is not None:  # only selectors have negative cost
-            objective = int((model.c[outcome.chosen] < 0).sum())
-    result = None
     report = None
-    if outcome.chosen is not None:
-        t0 = time.perf_counter()
-        try:
-            result = extract_paths(outcome.chosen, model, instance)
-        except ExtractionError as exc:
-            meta["extraction_error"] = str(exc)
-        meta["timings"]["extract_seconds"] = round(time.perf_counter() - t0, 6)
-        if result is not None:
-            t0 = time.perf_counter()
-            report = verify_solution(result.paths, instance)
-            meta["timings"]["verify_seconds"] = round(time.perf_counter() - t0, 6)
-        meta["verified"] = report is not None and report.ok
-    return solution_to_dict(outcome.status, objective, result, report, meta)
+    if result is not None:
+        report = _timed(timings, "verify_seconds", verify_solution, result.paths, instance)
+        meta["verified"] = report.ok
+    return solution_to_dict(status, objective, result, report, meta)
 
 
 def reported_status(doc: dict) -> str:
@@ -219,9 +211,8 @@ def reported_status(doc: dict) -> str:
 
 
 def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    instance = load_instance(args.instance)
-    load_seconds = time.perf_counter() - t0
+    timings: dict = {}
+    instance = _timed(timings, "load_seconds", load_instance, args.instance)
     config = SolverConfig(
         solver=args.solver,
         time_limit=args.time_limit,
@@ -230,7 +221,7 @@ def cmd_solve(args) -> int:
     )
     doc = answer(instance, args.variant, args.mode, config)
     meta = doc["meta"]
-    meta["timings"] = {"load_seconds": round(load_seconds, 6), **meta["timings"]}
+    meta["timings"] = {**timings, **meta["timings"]}
     doc["meta"] = {"instance": args.instance, **meta}
     _emit(doc, args.output)
     return _EXIT_CODES.get(reported_status(doc), EXIT_ERROR)
@@ -335,8 +326,10 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = load_instance(args.instance)
-    paths = load_solution_paths(args.solution, instance.network)
+    paths, claimed = load_solution(args.solution, instance)
     report = verify_solution(paths, instance)
+    for demand_id in sorted(claimed - paths.keys()):
+        report.add("unrouted", (demand_id,), "claimed as routed but has no path")
     _emit(
         {
             "ok": report.ok,

@@ -177,8 +177,11 @@ def load_instance(path: str) -> RestorationInstance:
     return instance_from_dict(read_json(path))
 
 
-def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
-    """{demand id: RoutedPath} of a solution file's "paths" entries."""
+def load_solution(path: str, instance: RestorationInstance) -> tuple:
+    """({demand id: RoutedPath} of a solution file's "paths" entries, the
+    demand ids it claims as routed): its "restored" list when present, else
+    every demand of the instance when its "status" is optimal or feasible,
+    else none."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("/: solution document must be a JSON object")
@@ -195,7 +198,7 @@ def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
             raise InputError(f"{where}/links: must be a list")
         ids = [_integer(x, f"{where}/links/{k}") for k, x in enumerate(link_ids)]
         try:
-            links = tuple(network.link(x) for x in ids)
+            links = tuple(instance.network.link(x) for x in ids)
         except InputError as exc:
             raise InputError(f"{where}/links: solution references {exc}") from None
         demand = _require_int(raw, "demand", where)
@@ -206,7 +209,13 @@ def load_solution_paths(path: str, network: OpticalNetwork) -> dict:
             first_color=_require_int(raw, "first_color", where),
             width=_require_int(raw, "width", where),
         )
-    return paths
+    claimed = data.get("restored")
+    if claimed is None:
+        routed = data.get("status") in ("optimal", "feasible")
+        return paths, ({d.id for d in instance.demands} if routed else set())
+    if not isinstance(claimed, list):
+        raise InputError("/restored: must be a list")
+    return paths, {_integer(x, f"/restored/{k}") for k, x in enumerate(claimed)}
 
 
 def dump_json(data: dict, path: str) -> None:

@@ -215,12 +215,6 @@ class RestorationInstance:
             if not 0 < d.reach < math.inf:
                 raise InputError(f"{where}: reach {d.reach} must be finite and positive")
 
-    def demand(self, demand_id: int) -> Demand:
-        for d in self.demands:
-            if d.id == demand_id:
-                return d
-        raise InputError(f"unknown demand id {demand_id}")
-
 
 # ---------------------------------------------------------------------------
 # Path predicates

@@ -14,6 +14,7 @@ from flexrsa.backend import SolverConfig
 from flexrsa.backend import solve as backend_solve
 from flexrsa.cli import main
 from flexrsa.extract import ExtractionError, extract_paths, verify_solution
+from flexrsa.heuristic import hop_bound_routing
 from flexrsa.io import instance_to_dict, save_instance
 from flexrsa.milp import build_model
 from flexrsa.model import Demand, RestorationInstance
@@ -110,7 +111,7 @@ class TestSolve:
         assert doc["objective"] == 3
         assert doc["meta"]["verified"] is True
         assert doc["meta"]["solver_invoked"] is True
-        assert "proven_by" not in doc["meta"]
+        assert doc["meta"]["proven_by"] == "milp"
         # per demand: the forward arcs of links 1, 2 at first colors 1, 2; link 3 at 1
         assert doc["meta"]["model"]["variables"] == 10
         assert list(doc["meta"]["timings"]) == [
@@ -234,6 +235,27 @@ class TestSolve:
         doc = read_json(out)
         assert doc["status"] == "optimal"
         assert doc["meta"]["verified"] is False
+
+    def test_failed_hop_bound_routing_is_reported_not_replaced(
+        self, t1_file, tmp_path, monkeypatch
+    ):
+        # t1's one demand goes on 1-2-3 at color 1 through the hop bound;
+        # the routing moved out of the spectrum {1, 2} is the answer, and
+        # no model is built in its place
+        def shifted(*args):
+            paths = hop_bound_routing(*args)
+            assert paths is not None
+            return {d: dataclasses.replace(p, first_color=0) for d, p in paths.items()}
+
+        monkeypatch.setattr("flexrsa.cli.hop_bound_routing", shifted)
+        out = tmp_path / "sol.json"
+        assert main(["solve", t1_file, "--solver", "builtin", "-o", str(out)]) == 1
+        doc = read_json(out)
+        assert doc["status"] == "optimal"
+        assert (doc["meta"]["proven_by"], doc["meta"]["verified"]) == ("hop_bound", False)
+        assert doc["violations"]
+        assert "model" not in doc["meta"]
+        assert doc["meta"]["solver_invoked"] is False
 
     def test_failed_extraction_exits_one(self, contested_file, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -480,6 +502,35 @@ class TestGenAndValidate:
         )
         assert main(["validate", t1_file, str(sol)]) == 1
 
+    @pytest.mark.parametrize(
+        "mode, keep",
+        [("feasibility", 13), ("feasibility", 0), ("maxsubset", 13)],
+        ids=["one-path-dropped", "no-paths", "restored-path-dropped"],
+    )
+    def test_validate_refuses_an_incomplete_solution(self, tmp_path, mode, keep):
+        # grid12 8-QAM, first break 7, break 12: optimal with 14 paths. Every
+        # demand an optimal answer routes, or its "restored" lists, needs a path
+        out_dir = str(tmp_path / "corpus")
+        assert main(
+            ["gen", "grid12", "--modulation", "8qam", "--seed", "7", "--break", "12",
+             "--kind", "second", "--first-break", "7", "--out-dir", out_dir]
+        ) == 0
+        inst = os.path.join(out_dir, "grid12-8qam-s7-b12-second.json")
+        sol = tmp_path / "sol.json"
+        assert main(["solve", inst, "--mode", mode, "--solver", "builtin", "-o", str(sol)]) == 0
+        doc = read_json(sol)
+        assert (doc["status"], len(doc["paths"])) == ("optimal", 14)
+        assert main(["validate", inst, str(sol)]) == 0
+        dropped = [p["demand"] for p in doc["paths"][keep:]]
+        doc["paths"] = doc["paths"][:keep]
+        sol.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["validate", inst, str(sol), "-o", str(report)]) == 1
+        assert read_json(report)["violations"] == [
+            {"kind": "unrouted", "demands": [d], "detail": "claimed as routed but has no path"}
+            for d in dropped
+        ]
+
     @pytest.mark.parametrize("content", [
         b"{",
         b"\xff\xfe",
@@ -492,6 +543,8 @@ class TestGenAndValidate:
           for key, bad in (("demand", None), ("links", 1), ("links", ["1"]), ("links", [9]),
                            ("first_color", "1"), ("width", 1.5))],
         json.dumps({"paths": [GOOD_PATH, GOOD_PATH]}).encode(),
+        b'{"paths": [], "restored": 1}',
+        b'{"paths": [], "restored": ["1"]}',
     ])
     def test_validate_refuses_malformed_solution(self, t1_file, tmp_path, capsys, content):
         sol = tmp_path / "bad.json"
@@ -576,7 +629,8 @@ class TestBench:
         assert lines[0] == (
             "case,kind,modulation,broken_link,variant,solver,variables,"
             "constraints,load_seconds,trim_seconds,bound_seconds,build_seconds,"
-            "solve_seconds,highs_seconds,extract_seconds,verify_seconds,status,objective"
+            "solve_seconds,highs_seconds,extract_seconds,verify_seconds,status,"
+            "proven_by,objective"
         )
         assert len(lines) == 1 + 2 * 3  # two cases x three variants
         rows = read_csv_rows(csv_path)
@@ -585,8 +639,10 @@ class TestBench:
         assert {r["objective"] for r in t1_rows} == {"2"}
         (load,) = {r["load_seconds"] for r in t1_rows}  # one load per case
         assert float(load) > 0
+        assert {r["proven_by"] for r in t1_rows} == {"hop_bound"}
         t3_rows = [r for r in rows if r["case"] == "t3"]
         assert {r["status"] for r in t3_rows} == {"infeasible"}
+        assert {r["proven_by"] for r in t3_rows} == {"milp"}
         md = md_path.read_text()
         assert "Vars trimmed" in md and "Excluding cells over 100" in md
 

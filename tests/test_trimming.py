@@ -208,8 +208,9 @@ class TestOracleEquivalence:
         # assembled from shortest-path trees of its witness first color.
         for seed, inst in small_corpus[:20]:
             got = compute_useful_triples(inst)
+            by_id = {d.id: d for d in inst.demands}
             for (d_id, link_id, c) in got.useful:
-                demand = inst.demand(d_id)
+                demand = by_id[d_id]
                 firsts = [
                     c0
                     for c0 in got.first_colors_of(d_id, link_id)
