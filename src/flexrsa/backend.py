@@ -57,7 +57,8 @@ class SolverConfig:
         benchmark budget).
     workdir: where LP/solution files go; None means a fresh temp directory.
     keep_files: keep LP/solution/log files even on success. The builtin
-        solver writes files only then: model.lp and a summary solver.log.
+        solver writes files only then: model.lp and solver.log, HiGHS's own
+        log followed by a summary.
     """
 
     solver: str = "auto"
@@ -87,7 +88,7 @@ class SolveOutcome:
     log_path: Optional[str] = None
     message: str = ""
     highs_seconds: Optional[float] = None  # first HiGHS call to solution read back; builtin only
-    solver_stats: Optional[dict] = None  # HiGHS's node count, gap, dual bound; builtin only
+    solver_stats: Optional[dict] = None  # `lp_driver.STATS`, by name; builtin only
 
 
 def _which(name: str, env_var: str) -> Optional[str]:
@@ -338,12 +339,13 @@ def _solve_builtin(
     model: MilpModel, config: SolverConfig, start: float, workdir: Optional[str]
 ) -> SolveOutcome:
     """HiGHS in this process, straight from the model. workdir is None
-    unless keep_files is set; then `solve` has written model.lp there, and a
-    summary solver.log goes next to it."""
+    unless keep_files is set; then `solve` has written model.lp there, and
+    solver.log goes next to it: HiGHS's own log, then flexrsa's summary."""
     from .lp_driver import solve_highs  # deferred: it imports this module, and scipy
 
+    log_path = None if workdir is None else os.path.join(workdir, "solver.log")
     result = solve_highs(
-        model.c, model.a, model.lower, model.upper, model.ub, config.time_limit
+        model.c, model.a, model.lower, model.upper, model.ub, config.time_limit, log_path
     )
     status, chosen, objective, message = _rounded(
         model, result.status, result.objective, result.values
@@ -353,8 +355,8 @@ def _solve_builtin(
         message=message or result.message, highs_seconds=result.seconds,
         solver_stats=result.stats,
     )
-    if workdir is not None:
-        outcome.log_path = os.path.join(workdir, "solver.log")
-        with open(outcome.log_path, "w", encoding="utf-8") as fh:
+    if log_path is not None:  # HiGHS has closed its log
+        outcome.log_path = log_path
+        with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(result.summary)
     return outcome

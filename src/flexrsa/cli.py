@@ -15,7 +15,10 @@ certified (its solution JSON is still written, with `meta.verified: false`
 and, when extraction failed, `meta.extraction_error`). A solve that keeps
 its solver log (a failed external solve, or `--keep-files`) names it in
 `meta.solver_log`. `validate` exits 0 only on a clean report, which needs
-a path for every demand the file claims as routed (`io.load_solution`).
+a path for every demand the file claims as routed (`io.load_solution`), no
+path in an `infeasible` document, and an `objective`, where there is one,
+equal to the restored count (with `restored`) or else, when `optimal` or
+`feasible`, to the slots its paths take (width x hops).
 Every artifact embeds seed, variant, solver identity and tool version.
 """
 
@@ -326,10 +329,20 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = load_instance(args.instance)
-    paths, claimed = load_solution(args.solution, instance)
+    paths, claimed, doc = load_solution(args.solution, instance)
     report = verify_solution(paths, instance)
     for demand_id in sorted(claimed - paths.keys()):
         report.add("unrouted", (demand_id,), "claimed as routed but has no path")
+    status, objective = doc.get("status"), doc.get("objective")
+    if status == INFEASIBLE and paths:
+        report.add("status", sorted(paths), "infeasible, yet the document lists paths")
+    want = None  # the objective that the document's own routing gives
+    if doc.get("restored") is not None:
+        want, what = len(claimed), "restored demands"
+    elif status in (OPTIMAL, FEASIBLE):
+        want, what = ExtractResult(paths).total_slots(), "slots on its paths"
+    if objective is not None and want is not None and objective != want:
+        report.add("objective", (), f"objective {objective!r}, but {want} {what}")
     _emit(
         {
             "ok": report.ok,

@@ -179,9 +179,9 @@ def load_instance(path: str) -> RestorationInstance:
 
 def load_solution(path: str, instance: RestorationInstance) -> tuple:
     """({demand id: RoutedPath} of a solution file's "paths" entries, the
-    demand ids it claims as routed): its "restored" list when present, else
-    every demand of the instance when its "status" is optimal or feasible,
-    else none."""
+    demand ids it claims as routed, the document): the claimed ids are its
+    "restored" list when present, else every demand of the instance when its
+    "status" is optimal or feasible, else none."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("/: solution document must be a JSON object")
@@ -212,10 +212,10 @@ def load_solution(path: str, instance: RestorationInstance) -> tuple:
     claimed = data.get("restored")
     if claimed is None:
         routed = data.get("status") in ("optimal", "feasible")
-        return paths, ({d.id for d in instance.demands} if routed else set())
+        return paths, ({d.id for d in instance.demands} if routed else set()), data
     if not isinstance(claimed, list):
         raise InputError("/restored: must be a list")
-    return paths, {_integer(x, f"/restored/{k}") for k, x in enumerate(claimed)}
+    return paths, {_integer(x, f"/restored/{k}") for k, x in enumerate(claimed)}, data
 
 
 def dump_json(data: dict, path: str) -> None:

@@ -15,7 +15,9 @@ is the package's one import of scipy, so a solve imports neither
 import statement to keep it so). The golden digests of
 `tests/test_backend.py` lock what HiGHS receives. `HighsOutcome.seconds`
 (`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
-solution read back.
+solution read back. Given a log path (`--keep-files`), HiGHS writes its own
+log to that file and to nothing else, and closes it before `solve_highs`
+returns.
 
 `solve_lp_file` reads an LP file that `lpformat.emit_lp_text` printed back
 into the same matrix (`lpformat.parse_lp_text`), solves it the same way and
@@ -23,11 +25,12 @@ writes a CBC-style solution file (status line, then one row per variable:
 index, name, value, reduced cost), so an emitted LP can be solved and
 checked without the model.
 
-Every solve runs with `SETTINGS` and its time limit: no output,
-`mip_rel_gap` 0, so an optimal answer is a proven optimum, and HiGHS's
-feasibility-jump heuristic (Luteberget & Sartor, Math. Prog. Comp. 2023)
-off. Feasibility jump is an LP-free local search that HiGHS runs before the
-root LP, and the equality flow-conservation rows of these models defeat it.
+Every solve runs with `SETTINGS` and its time limit: no output but the
+log file, when there is one; `mip_rel_gap` 0, so an optimal answer is a
+proven optimum; HiGHS's feasibility-jump heuristic (Luteberget & Sartor,
+Math. Prog. Comp. 2023) off; and presolve probing off. Feasibility jump is
+an LP-free local search that HiGHS runs before the root LP, and the
+equality flow-conservation rows of these models defeat it.
 On the ring14 QPSK seed-7 link-1 break it returns 188 where the root node
 closes at 160, and HiGHS then runs a sub-MIP to reach 160; without it,
 rounding the root LP finds 160 at once. A cold `flexrsa solve` of that break
@@ -42,6 +45,26 @@ ring14 break at `--time-limit` 0.35 s ends `timelimit` with no solution
 runs and had none in 2 (188 in 3 of 3 with it); from 0.75 s it proves 160
 (188 with it until 1 s). Full RSA on grid12 QPSK (306 925 columns) at 90 s
 ends with no solution (751 with it).
+
+Presolve probing is off too (`presolve_rule_off` bit 15, HiGHS's rule 15,
+"Probing"). Probing fixes each binary in turn to 0 and to 1 and propagates,
+to find implied fixings and bounds. HiGHS's log of the ring14 break starts
+the root LP at 0.3 s of a 0.42 s solve with it and at 0.2 s of 0.39 s
+without: presolve is most of HiGHS's time, probing much of presolve, and
+what probing removes the root LP does not miss. Presolve then stops at
+1 287 rows and 3 034 columns instead of 1 108 and 2 798, the root still
+closes at 160, after 1 114 LP iterations instead of 1 080, and HiGHS takes
+280 ms instead of 341 ms (interleaved medians of 12, faster in 12 of 12; a
+second round, on a busier machine, 340 against 402 ms, 10 of 12; scipy
+1.17.1, HiGHS 1.12.0, 2 CPUs). Of the grid12 second-kind models that the
+benchmark solves, QPSK f2-b9 went from 40-50 to 22-28 ms and 8-QAM f7-b16
+in maxsubset mode from 5.1 to 3.5 ms (12 of 12 in both rounds), and the
+other three held or gained. Not every model gains: QPSK f17-b7 in maxsubset
+mode went from 264-329 to 419-556 ms (slower in 12 of 12, both rounds), and
+the ring14 break in maxsubset mode held at 504 ms in one round and went
+from 564 to 624 ms in the other, where QPSK f17-b1 in maxsubset mode went
+from 246-379 to 85-128 ms. Every answer of the benchmark and tiny-instance
+corpora kept its status, objective and certificate.
 """
 
 from __future__ import annotations
@@ -116,25 +139,38 @@ class HighsOutcome(NamedTuple):
     stats: dict  # STATS names -> HiGHS's value; None where it gave none
 
 
-# what HiGHS reports on its branch and bound, by its own names (HighsInfo)
-STATS = ("mip_node_count", "mip_gap", "mip_dual_bound")
+# what HiGHS reports on its branch and bound and its LP work, by its own
+# names (HighsInfo)
+STATS = ("mip_node_count", "mip_gap", "mip_dual_bound", "simplex_iteration_count")
 
 # HiGHS settings of every solve, by HiGHS's option names, besides its time
-# limit: no output, no relative gap, and no feasibility jump (see the module
-# docstring)
-SETTINGS = MappingProxyType(
-    {"output_flag": False, "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
-)
+# limit: no output, no relative gap, no feasibility jump and no presolve
+# probing (see the module docstring). Bit 15 is presolve rule 15, Probing,
+# in HiGHS 1.12.0; the numbering is HiGHS's own, so a test pins the version
+SETTINGS = MappingProxyType({
+    "output_flag": False,
+    "mip_rel_gap": 0.0,
+    "mip_heuristic_run_feasibility_jump": False,
+    "presolve_rule_off": 1 << 15,
+})
 
 
-def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
+def solve_highs(
+    c, a, lower, upper, ub, time_limit: float, log_path: Optional[str] = None
+) -> HighsOutcome:
     """Minimize c.x over binary x <= ub with lower <= a.x <= upper, by HiGHS
     with `SETTINGS`. A setting or a model that HiGHS refuses, and a solver
-    exception, are `error` outcomes whose message says why.
+    exception, are `error` outcomes whose message says why. With log_path,
+    HiGHS writes its own log to that file alone, and has closed it when
+    this returns.
     """
     start = time.perf_counter()
     stats = dict.fromkeys(STATS)
     model_status = ""
+    options = {**SETTINGS, "time_limit": float(time_limit)}
+    if log_path is not None:
+        options.update(log_file=log_path, output_flag=True, log_to_console=False)
+    highs = None
 
     def outcome(status, message="", values=None, objective=None) -> HighsOutcome:
         seconds = time.perf_counter() - start
@@ -147,7 +183,7 @@ def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
 
     try:
         highs = _Highs()
-        for name, value in {**SETTINGS, "time_limit": float(time_limit)}.items():
+        for name, value in options.items():
             if highs.setOptionValue(name, value) != HighsStatus.kOk:
                 return outcome(ERROR, f"HiGHS refused the setting {name}={value!r}")
         n = len(c)
@@ -174,6 +210,9 @@ def solve_highs(c, a, lower, upper, ub, time_limit: float) -> HighsOutcome:
         return outcome(status, values=values, objective=info.objective_function_value)
     except Exception as exc:  # a solver failure is an outcome, never a traceback
         return outcome(ERROR, f"{type(exc).__name__}: {exc}")
+    finally:
+        if log_path is not None and highs is not None:
+            highs.setOptionValue("log_file", "")  # HiGHS closes the file
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:

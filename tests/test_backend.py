@@ -339,8 +339,18 @@ class TestHighsSettings:
             "output_flag": False,
             "mip_rel_gap": 0.0,
             "mip_heuristic_run_feasibility_jump": False,
+            "presolve_rule_off": 1 << 15,
             "time_limit": 60.0,
         }
+
+    def test_highs_version_pins_the_probing_bit(self):
+        # presolve rule numbers are HiGHS's own: another version may number
+        # Probing otherwise
+        assert _Highs().version() == "1.12.0", (
+            'HiGHS is not 1.12.0: check that SETTINGS["presolve_rule_off"] still '
+            "switches off Probing alone. With presolve_rule_logging on, HiGHS prints "
+            '"Rule 15 (bit 32768): Probing" under "Presolve rules not allowed"'
+        )
 
     @pytest.mark.parametrize(
         "name, value", [("bogus_setting", 1), ("mip_rel_gap", "none")],
@@ -541,8 +551,24 @@ class TestWorkdirHandling:
         cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"), keep_files=True)
         assert solve(trimmed(t1), cfg).status == OPTIMAL
         log = (tmp_path / "w" / "solver.log").read_text()
-        assert log.startswith("status: optimal")
+        assert "\nstatus: optimal\n" in log  # after HiGHS's own log
         assert "mip_node_count" in log
+
+    def test_keep_files_keeps_highs_log_then_the_summary(self, contested_link, tmp_path, capfd):
+        # presolve leaves 5 rows of this model to the branch and bound
+        cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"), keep_files=True)
+        out = solve(trimmed(contested_link), cfg)
+        assert (out.status, out.objective) == (OPTIMAL, 3)
+        log = (tmp_path / "w" / "solver.log").read_text()
+        highs_log, summary = log.split("\nstatus: optimal\n")
+        assert highs_log.startswith("Running HiGHS 1.12.0")
+        assert "   Rule 15 (bit 32768): Probing\n" in highs_log  # "not allowed"
+        assert "Presolve reductions: rows 5(-8); columns 6(-4)" in highs_log
+        assert summary.startswith("highs_model_status: Optimal\n")
+        iterations = out.solver_stats["simplex_iteration_count"]
+        assert f"\nsimplex_iteration_count: {iterations}\n" in summary
+        assert summary.endswith("\n") and summary.splitlines()[-1].startswith("wall_seconds: ")
+        assert capfd.readouterr() == ("", "")  # HiGHS logs to the file alone
 
     def test_temp_dir_cleaned_on_success(self, t1, tmp_path, monkeypatch):
         cfg = SolverConfig(solver="builtin", time_limit=30, workdir=str(tmp_path / "w"))

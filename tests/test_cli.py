@@ -128,10 +128,13 @@ class TestSolve:
         timings = meta["timings"]
         assert 0 < timings["highs_seconds"] <= timings["solve_seconds"]
         stats = meta["solver_stats"]
-        assert sorted(stats) == ["mip_dual_bound", "mip_gap", "mip_node_count"]
+        assert sorted(stats) == [
+            "mip_dual_bound", "mip_gap", "mip_node_count", "simplex_iteration_count",
+        ]
         assert stats["mip_gap"] == 0
         assert stats["mip_dual_bound"] == 3  # the optimum
         assert isinstance(stats["mip_node_count"], int)
+        assert isinstance(stats["simplex_iteration_count"], int)
         solver = canned_solver(
             tmp_path,
             "Optimal - objective value 3\n"
@@ -420,6 +423,35 @@ class TestOracle:
 GOOD_PATH = {"demand": 1, "links": [1, 2], "first_color": 1, "width": 1}
 
 
+@pytest.fixture(scope="module")
+def grid12_answers(tmp_path_factory):
+    """grid12 8-QAM, first break 7, break 12: the instance file and its
+    solution documents by mode, each optimal with 14 paths (objective 62 in
+    feasibility mode, 14 restored in maxsubset mode)."""
+    out_dir = str(tmp_path_factory.mktemp("corpus"))
+    assert main(
+        ["gen", "grid12", "--modulation", "8qam", "--seed", "7", "--break", "12",
+         "--kind", "second", "--first-break", "7", "--out-dir", out_dir]
+    ) == 0
+    inst = os.path.join(out_dir, "grid12-8qam-s7-b12-second.json")
+    docs = {}
+    for mode in ("feasibility", "maxsubset"):
+        sol = os.path.join(out_dir, f"{mode}.json")
+        assert main(["solve", inst, "--mode", mode, "--solver", "builtin", "-o", sol]) == 0
+        docs[mode] = read_json(sol)
+        assert (docs[mode]["status"], len(docs[mode]["paths"])) == ("optimal", 14)
+    return inst, docs
+
+
+def validate(inst, doc, tmp_path):
+    """The exit code of `validate` on the solution document doc, and the
+    violations it reports."""
+    sol, report = tmp_path / "sol.json", tmp_path / "report.json"
+    sol.write_text(json.dumps(doc))
+    code = main(["validate", inst, str(sol), "-o", str(report)])
+    return code, read_json(report)["violations"]
+
+
 class TestGenAndValidate:
     def test_gen_loaded_then_scenario_then_solve(self, tmp_path):
         out_dir = str(tmp_path / "corpus")
@@ -507,29 +539,52 @@ class TestGenAndValidate:
         [("feasibility", 13), ("feasibility", 0), ("maxsubset", 13)],
         ids=["one-path-dropped", "no-paths", "restored-path-dropped"],
     )
-    def test_validate_refuses_an_incomplete_solution(self, tmp_path, mode, keep):
-        # grid12 8-QAM, first break 7, break 12: optimal with 14 paths. Every
-        # demand an optimal answer routes, or its "restored" lists, needs a path
-        out_dir = str(tmp_path / "corpus")
-        assert main(
-            ["gen", "grid12", "--modulation", "8qam", "--seed", "7", "--break", "12",
-             "--kind", "second", "--first-break", "7", "--out-dir", out_dir]
-        ) == 0
-        inst = os.path.join(out_dir, "grid12-8qam-s7-b12-second.json")
-        sol = tmp_path / "sol.json"
-        assert main(["solve", inst, "--mode", mode, "--solver", "builtin", "-o", str(sol)]) == 0
-        doc = read_json(sol)
-        assert (doc["status"], len(doc["paths"])) == ("optimal", 14)
-        assert main(["validate", inst, str(sol)]) == 0
+    def test_validate_refuses_an_incomplete_solution(self, grid12_answers, tmp_path, mode, keep):
+        # every demand an optimal answer routes, or its "restored" lists,
+        # needs a path; without "restored", the objective is the paths' slots
+        inst, docs = grid12_answers
+        doc = dict(docs[mode])
+        assert validate(inst, doc, tmp_path) == (0, [])
         dropped = [p["demand"] for p in doc["paths"][keep:]]
         doc["paths"] = doc["paths"][:keep]
-        sol.write_text(json.dumps(doc))
-        report = tmp_path / "report.json"
-        assert main(["validate", inst, str(sol), "-o", str(report)]) == 1
-        assert read_json(report)["violations"] == [
+        want = [
             {"kind": "unrouted", "demands": [d], "detail": "claimed as routed but has no path"}
             for d in dropped
         ]
+        if mode == "feasibility":
+            slots = sum(p["width"] * len(p["links"]) for p in doc["paths"])
+            want.append({"kind": "objective", "demands": [],
+                         "detail": f"objective 62, but {slots} slots on its paths"})
+        assert validate(inst, doc, tmp_path) == (1, want)
+
+    @pytest.mark.parametrize(
+        "mode, change, kind, detail",
+        [
+            ("feasibility", {"objective": 1}, "objective", "objective 1, but 62 slots on its paths"),
+            ("feasibility", {"status": "infeasible"}, "status",
+             "infeasible, yet the document lists paths"),
+            ("maxsubset", {"objective": 13}, "objective", "objective 13, but 14 restored demands"),
+            ("maxsubset", {"objective": 62}, "objective", "objective 62, but 14 restored demands"),
+        ],
+        ids=["wrong-objective", "infeasible-with-paths", "maxsubset-one-short",
+             "maxsubset-slot-count"],
+    )
+    def test_validate_refuses_a_status_or_objective_the_paths_contradict(
+        self, grid12_answers, tmp_path, mode, change, kind, detail
+    ):
+        inst, docs = grid12_answers
+        doc = dict(docs[mode], **change)
+        demands = sorted(p["demand"] for p in doc["paths"]) if kind == "status" else []
+        assert validate(inst, doc, tmp_path) == (
+            1, [{"kind": kind, "demands": demands, "detail": detail}]
+        )
+
+    def test_validate_checks_paths_alone_without_status_and_objective(
+        self, grid12_answers, tmp_path
+    ):
+        inst, docs = grid12_answers
+        doc = {"paths": docs["feasibility"]["paths"][:13]}
+        assert validate(inst, doc, tmp_path) == (0, [])
 
     @pytest.mark.parametrize("content", [
         b"{",
