@@ -1,16 +1,17 @@
 """Solver driver: builtin in process, the others by LP text and a subprocess.
 
-Solvers are addressed by name ("cbc", "scip", "builtin") or by a custom
-command template ("cmd:mysolver {lp_file} {sol_file} {time_limit}"); "auto"
-picks cbc, then scip, then builtin: scipy's HiGHS in this process, fed
-straight from the model (`flexrsa.lp_driver`). Executable paths can be
-overridden with FLEXRSA_CBC / FLEXRSA_SCIP. Custom templates must write a
-CBC-style solution file.
+Solvers are addressed by name or by a custom command template:
+"builtin" (the default) is scipy's HiGHS in this process, fed straight from
+the model (`flexrsa.lp_driver`); "cbc" and "scip" run the executable of
+that name found on PATH; "cmd:mysolver {lp_file} {sol_file} {time_limit}"
+runs a command that must write a CBC-style solution file.
 
 A solver process is killed once it runs past twice the time limit plus
-HARD_KILL_GRACE_S. Its working directory (model.lp, model.sol, solver.log)
-is removed after a successful solve unless keep_files is set; whenever the
-directory stays, `SolveOutcome.log_path` names its log.
+HARD_KILL_GRACE_S. A subprocess solve, and a builtin one with keep_files,
+works in a directory (model.lp, solver.log, and model.sol from a
+subprocess). A directory that the solve made is removed afterwards unless
+keep_files is set or the status is error; whenever the directory stays,
+`SolveOutcome.log_path` names its log.
 
 Solves are isolated per working directory, and HiGHS releases the GIL, so
 any number may run concurrently, in threads too.
@@ -23,8 +24,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,9 +50,10 @@ class SolverNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How to run the external solver.
+    """Which solver to run, and how.
 
-    solver: "auto" | "cbc" | "scip" | "builtin" | "cmd:<template>".
+    solver: "builtin" (default) | "cbc" | "scip" | "cmd:<template>"; cbc
+        and scip are looked up on PATH.
     time_limit: seconds handed to the solver (default mirrors the 500 s
         benchmark budget).
     workdir: where LP/solution files go; None means a fresh temp directory.
@@ -61,7 +62,7 @@ class SolverConfig:
         log followed by a summary.
     """
 
-    solver: str = "auto"
+    solver: str = "builtin"
     time_limit: float = 500.0
     workdir: Optional[str] = None
     keep_files: bool = False
@@ -83,7 +84,6 @@ class SolveOutcome:
     status: str
     chosen: Optional[np.ndarray]
     objective: Optional[float]
-    wall_seconds: float
     solver_name: str
     log_path: Optional[str] = None
     message: str = ""
@@ -91,11 +91,20 @@ class SolveOutcome:
     solver_stats: Optional[dict] = None  # `lp_driver.STATS`, by name; builtin only
 
 
-def _which(name: str, env_var: str) -> Optional[str]:
-    override = os.environ.get(env_var)
-    if override:
-        return override if os.path.exists(override) else None
-    return shutil.which(name)
+# arguments of each named subprocess solver, after its executable
+COMMANDS = {
+    "cbc": [
+        "-sec", "{time_limit}", "-timeMode", "elapsed", "-printingOptions", "all",
+        "-import", "{lp_file}", "-solve", "-solu", "{sol_file}",
+    ],
+    "scip": [
+        "-c", "set limits time {time_limit}",
+        "-c", "read {lp_file}",
+        "-c", "optimize",
+        "-c", "write solution {sol_file}",
+        "-c", "quit",
+    ],
+}
 
 
 def resolve_solver(solver: str):
@@ -107,42 +116,16 @@ def resolve_solver(solver: str):
                 "custom solver template must mention {lp_file} and {sol_file}"
             )
         return solver, shlex.split(template)
-    if solver == "cbc":
-        path = _which("cbc", "FLEXRSA_CBC")
+    if solver in COMMANDS:
+        path = shutil.which(solver)
         if not path:
             raise SolverNotFound(
-                "cbc executable not found; install coin-or CBC, set FLEXRSA_CBC, "
+                f"{solver} executable not found on PATH; install it, "
                 "or use --solver builtin"
             )
-        return "cbc", [
-            path, "-sec", "{time_limit}", "-timeMode", "elapsed",
-            "-printingOptions", "all", "-import", "{lp_file}",
-            "-solve", "-solu", "{sol_file}",
-        ]
-    if solver == "scip":
-        path = _which("scip", "FLEXRSA_SCIP")
-        if not path:
-            raise SolverNotFound(
-                "scip executable not found; install SCIP, set FLEXRSA_SCIP, "
-                "or use --solver builtin"
-            )
-        return "scip", [
-            path,
-            "-c", "set limits time {time_limit}",
-            "-c", "read {lp_file}",
-            "-c", "optimize",
-            "-c", "write solution {sol_file}",
-            "-c", "quit",
-        ]
+        return solver, [path, *COMMANDS[solver]]
     if solver == "builtin":
         return BUILTIN, None
-    if solver == "auto":
-        for candidate in ("cbc", "scip", "builtin"):
-            try:
-                return resolve_solver(candidate)
-            except SolverNotFound:
-                continue
-        raise SolverNotFound("no MILP solver available")  # pragma: no cover
     raise SolverNotFound(f"unknown solver {solver!r}")
 
 
@@ -231,15 +214,15 @@ def _evaluate_without_solver(model: MilpModel) -> SolveOutcome:
     for tag, lower, upper in zip(model.row_names, model.lower, model.upper):
         if not lower <= 0 <= upper:
             return SolveOutcome(
-                INFEASIBLE, None, None, 0.0, "trivial",
+                INFEASIBLE, None, None, "trivial",
                 message=f"unsatisfiable constraint {tag} with no variables",
             )
-    return SolveOutcome(OPTIMAL, np.empty(0, dtype=np.intp), 0, 0.0, "trivial")
+    return SolveOutcome(OPTIMAL, np.empty(0, dtype=np.intp), 0, "trivial")
 
 
-def _rounded(model: MilpModel, status: str, objective, values):
-    """(status, chosen, objective, message) from raw solver values, one per
-    column (None: no solution); the objective is recomputed."""
+def _rounded(model: MilpModel, status: str, objective, values, message: str):
+    """(status, chosen, objective, message) from a raw solver result, values
+    one per column (None: no solution); the objective is recomputed."""
     chosen = None
     if values is not None and status in (OPTIMAL, FEASIBLE, TIMELIMIT):
         x = np.asarray(values, dtype=np.float64)
@@ -252,74 +235,33 @@ def _rounded(model: MilpModel, status: str, objective, values):
         objective = int(model.c[chosen].sum())  # integer coefficients: exact
     if status in (OPTIMAL, FEASIBLE) and chosen is None:
         status = ERROR
-    return status, chosen, objective, ""
+    return status, chosen, objective, message
 
 
-def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
-    """Run the configured solver on the model and parse the outcome.
-
-    wall_seconds covers the whole solve: for a subprocess solver, LP
-    emission, the process and the parsing of its solution file.
-    """
-    # HiGHS reports a model without columns as model status Empty, an error
-    # outcome: only this short-cut answers it
-    if not len(model.c):
-        return _evaluate_without_solver(model)
-
-    start = time.perf_counter()
-    solver_name, template = resolve_solver(config.solver)
-    workdir = None
-    if template is not None or config.keep_files:
-        workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
-        os.makedirs(workdir, exist_ok=True)
-        with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
-            fh.write(emit_lp_text(model))
-    if template is None:
-        return _solve_builtin(model, config, start, workdir)
-    owns_dir = config.workdir is None
-    lp_file = os.path.join(workdir, "model.lp")
+def _run_command(model: MilpModel, config: SolverConfig, solver_name: str, template, workdir: str):
+    """(status, objective, values, message) of a solver process run on
+    workdir's model.lp, its output in solver.log; values one per column,
+    None without a solution."""
     sol_file = os.path.join(workdir, "model.sol")
-    log_file = os.path.join(workdir, "solver.log")
-
     subst = {
-        "lp_file": lp_file,
+        "lp_file": os.path.join(workdir, "model.lp"),
         "sol_file": sol_file,
         "time_limit": f"{config.time_limit:g}",
     }
     cmd = [arg.format(**subst) for arg in template]
-
     returncode = -1
-    killed = False
     try:
-        with open(log_file, "w", encoding="utf-8") as log:
+        with open(os.path.join(workdir, "solver.log"), "w", encoding="utf-8") as log:
             returncode = subprocess.run(  # kills the solver on any exception
                 cmd, stdout=log, stderr=subprocess.STDOUT,
                 timeout=config.time_limit * 2 + HARD_KILL_GRACE_S,
             ).returncode
     except subprocess.TimeoutExpired:
-        killed = True
+        return TIMELIMIT, None, None, "solver killed after exceeding twice the time limit"
     except OSError:
         pass
-
-    def finish(status, chosen=None, objective=None, message="") -> SolveOutcome:
-        wall = time.perf_counter() - start
-        outcome = SolveOutcome(
-            status, chosen, objective, wall, solver_name, message=message
-        )
-        if owns_dir and outcome.status != ERROR and not config.keep_files:
-            shutil.rmtree(workdir, ignore_errors=True)
-        else:
-            outcome.log_path = log_file
-        return outcome
-
-    if killed:
-        return finish(
-            TIMELIMIT, message="solver killed after exceeding twice the time limit"
-        )
     if not os.path.exists(sol_file):
-        return finish(
-            ERROR, message=f"solver wrote no solution file (exit {returncode})"
-        )
+        return ERROR, None, None, f"solver wrote no solution file (exit {returncode})"
 
     with open(sol_file, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -327,36 +269,44 @@ def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutco
     status, objective, values = parser(text)
     if status == ERROR:
         head = text.strip().split("\n", 1)[0]
-        return finish(
-            ERROR, message=f"solution file has no result; first line: {head!r}"
-        )
+        return ERROR, None, None, f"solution file has no result; first line: {head!r}"
     if values is not None:
         values = [values.get(name, 0.0) for name in column_names(model)]
-    return finish(*_rounded(model, status, objective, values))
+    return status, objective, values, ""
 
 
-def _solve_builtin(
-    model: MilpModel, config: SolverConfig, start: float, workdir: Optional[str]
-) -> SolveOutcome:
-    """HiGHS in this process, straight from the model. workdir is None
-    unless keep_files is set; then `solve` has written model.lp there, and
-    solver.log goes next to it: HiGHS's own log, then flexrsa's summary."""
-    from .lp_driver import solve_highs  # deferred: it imports this module, and scipy
+def solve(model: MilpModel, config: SolverConfig = SolverConfig()) -> SolveOutcome:
+    """Run the configured solver on the model and parse the outcome."""
+    # HiGHS reports a model without columns as model status Empty, an error
+    # outcome: only this short-cut answers it
+    if not len(model.c):
+        return _evaluate_without_solver(model)
 
-    log_path = None if workdir is None else os.path.join(workdir, "solver.log")
-    result = solve_highs(
-        model.c, model.a, model.lower, model.upper, model.ub, config.time_limit, log_path
-    )
-    status, chosen, objective, message = _rounded(
-        model, result.status, result.objective, result.values
-    )
+    solver_name, template = resolve_solver(config.solver)
+    workdir = log_file = None
+    if template is not None or config.keep_files:
+        workdir = config.workdir or tempfile.mkdtemp(prefix="flexrsa-")
+        os.makedirs(workdir, exist_ok=True)
+        with open(os.path.join(workdir, "model.lp"), "w", encoding="utf-8") as fh:
+            fh.write(emit_lp_text(model))
+        log_file = os.path.join(workdir, "solver.log")
+    highs_seconds = stats = None
+    if template is None:
+        from .lp_driver import solve_highs  # deferred: it imports this module, and scipy
+
+        *raw, highs_seconds, stats = solve_highs(
+            model.c, model.a, model.lower, model.upper, model.ub, config.time_limit, log_file
+        )
+    else:
+        raw = _run_command(model, config, solver_name, template, workdir)
+    status, chosen, objective, message = _rounded(model, *raw)
     outcome = SolveOutcome(
-        status, chosen, objective, time.perf_counter() - start, BUILTIN,
-        message=message or result.message, highs_seconds=result.seconds,
-        solver_stats=result.stats,
+        status, chosen, objective, solver_name, message=message,
+        highs_seconds=highs_seconds, solver_stats=stats,
     )
-    if log_path is not None:  # HiGHS has closed its log
-        outcome.log_path = log_path
-        with open(log_path, "a", encoding="utf-8") as fh:
-            fh.write(result.summary)
+    if workdir is not None:
+        if config.workdir is None and status != ERROR and not config.keep_files:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            outcome.log_path = log_file
     return outcome

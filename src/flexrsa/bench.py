@@ -116,7 +116,7 @@ def run_cell(
 def run_bench(
     cases: list,
     variants=("base", "notrim", "trimmed"),
-    solvers=("auto",),
+    solvers=("builtin",),
     mode: str = "feasibility",
     time_limit: float = 500.0,
     jobs: int = 2,

@@ -171,10 +171,9 @@ def answer(
             timings, "build_seconds", build_model, instance, triples, variant, mode
         )
         meta["model"] = model_statistics(model)
-        outcome = backend_solve(model, config)
+        outcome = _timed(timings, "solve_seconds", backend_solve, model, config)
         meta["solver_invoked"] = outcome.solver_name != "trivial"
         meta["solver_name"] = outcome.solver_name
-        timings["solve_seconds"] = round(outcome.wall_seconds, 6)
         if outcome.highs_seconds is not None:
             timings["highs_seconds"] = round(outcome.highs_seconds, 6)
         if outcome.solver_stats is not None:
@@ -402,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--variant", choices=("base", "notrim", "trimmed"), default="trimmed")
     p.add_argument("--mode", choices=("feasibility", "maxsubset"), default="feasibility")
-    p.add_argument("--solver", default="auto",
-                   help='"auto", "cbc", "scip", "builtin", or "cmd:<template>"')
+    p.add_argument("--solver", default="builtin",
+                   help='"builtin", "cbc", "scip" (on PATH), or "cmd:<template>"')
     p.add_argument("--time-limit", type=float, default=500.0)
     p.add_argument("--workdir")
     p.add_argument("--keep-files", action="store_true")
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a corpus and emit CSV + Markdown tables")
     p.add_argument("corpus_dir")
     p.add_argument("--variants", default="base,notrim,trimmed")
-    p.add_argument("--solvers", default="auto")
+    p.add_argument("--solvers", default="builtin")
     p.add_argument("--mode", choices=("feasibility", "maxsubset"), default="feasibility")
     p.add_argument("--time-limit", type=float, default=500.0)
     p.add_argument("--jobs", type=int, default=2)

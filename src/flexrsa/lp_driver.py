@@ -15,9 +15,10 @@ is the package's one import of scipy, so a solve imports neither
 import statement to keep it so). The golden digests of
 `tests/test_backend.py` lock what HiGHS receives. `HighsOutcome.seconds`
 (`highs_seconds` in `meta.timings`) runs from the first HiGHS call to the
-solution read back. Given a log path (`--keep-files`), HiGHS writes its own
-log to that file and to nothing else, and closes it before `solve_highs`
-returns.
+solution read back, and `HighsOutcome.stats` holds HiGHS's `STATS` whenever
+`run` returned, so a proven infeasibility carries its counts too. Given a
+log path (`--keep-files`), HiGHS writes its own log to that file and to
+nothing else, then `solve_highs` closes it and appends its summary.
 
 `solve_lp_file` reads an LP file that `lpformat.emit_lp_text` printed back
 into the same matrix (`lpformat.parse_lp_text`), solves it the same way and
@@ -25,46 +26,25 @@ writes a CBC-style solution file (status line, then one row per variable:
 index, name, value, reduced cost), so an emitted LP can be solved and
 checked without the model.
 
-Every solve runs with `SETTINGS` and its time limit: no output but the
-log file, when there is one; `mip_rel_gap` 0, so an optimal answer is a
-proven optimum; HiGHS's feasibility-jump heuristic (Luteberget & Sartor,
-Math. Prog. Comp. 2023) off; and presolve probing off. Feasibility jump is
-an LP-free local search that HiGHS runs before the root LP, and the
-equality flow-conservation rows of these models defeat it.
-On the ring14 QPSK seed-7 link-1 break it returns 188 where the root node
-closes at 160, and HiGHS then runs a sub-MIP to reach 160; without it,
-rounding the root LP finds 160 at once. A cold `flexrsa solve` of that break
-then spends 0.57-0.61 s in HiGHS instead of 0.88-0.92 s (scipy 1.17.1, HiGHS
-1.12.0, 2 CPUs). Every answer of the generator and tiny-instance corpora
-kept its status and objective.
-
-The cost is under a time limit that ends before the root LP and its
-sub-MIP find an incumbent, where feasibility jump's was the only one. The
-ring14 break at `--time-limit` 0.35 s ends `timelimit` with no solution
-(188 with the heuristic, in 2 of 3 runs); at 0.5 s it proved 160 in 1 of 3
-runs and had none in 2 (188 in 3 of 3 with it); from 0.75 s it proves 160
-(188 with it until 1 s). Full RSA on grid12 QPSK (306 925 columns) at 90 s
-ends with no solution (751 with it).
-
-Presolve probing is off too (`presolve_rule_off` bit 15, HiGHS's rule 15,
-"Probing"). Probing fixes each binary in turn to 0 and to 1 and propagates,
-to find implied fixings and bounds. HiGHS's log of the ring14 break starts
-the root LP at 0.3 s of a 0.42 s solve with it and at 0.2 s of 0.39 s
-without: presolve is most of HiGHS's time, probing much of presolve, and
-what probing removes the root LP does not miss. Presolve then stops at
-1 287 rows and 3 034 columns instead of 1 108 and 2 798, the root still
-closes at 160, after 1 114 LP iterations instead of 1 080, and HiGHS takes
-280 ms instead of 341 ms (interleaved medians of 12, faster in 12 of 12; a
-second round, on a busier machine, 340 against 402 ms, 10 of 12; scipy
-1.17.1, HiGHS 1.12.0, 2 CPUs). Of the grid12 second-kind models that the
-benchmark solves, QPSK f2-b9 went from 40-50 to 22-28 ms and 8-QAM f7-b16
-in maxsubset mode from 5.1 to 3.5 ms (12 of 12 in both rounds), and the
-other three held or gained. Not every model gains: QPSK f17-b7 in maxsubset
-mode went from 264-329 to 419-556 ms (slower in 12 of 12, both rounds), and
-the ring14 break in maxsubset mode held at 504 ms in one round and went
-from 564 to 624 ms in the other, where QPSK f17-b1 in maxsubset mode went
-from 246-379 to 85-128 ms. Every answer of the benchmark and tiny-instance
-corpora kept its status, objective and certificate.
+Every solve runs with `SETTINGS` and its time limit, for these reasons:
+- no output but the log file, when there is one: an answer is a document;
+- `mip_rel_gap` 0, so an optimal answer is a proven optimum;
+- HiGHS's feasibility-jump heuristic (Luteberget & Sartor, Math. Prog.
+  Comp. 2023) off. It is an LP-free local search that HiGHS runs before the
+  root LP, and the equality flow-conservation rows of these models defeat
+  it: on the ring14 break it returns a poor incumbent and HiGHS then runs a
+  sub-MIP to improve it, where rounding the root LP finds the optimum at
+  once. Its cost is under a time limit that ends before the root LP and its
+  sub-MIP find an incumbent: there the answer is `timelimit` with no
+  solution where the heuristic's incumbent used to come back;
+- presolve probing off (`presolve_rule_off` bit 15, HiGHS's rule 15,
+  "Probing"). Probing fixes each binary in turn to 0 and to 1 and
+  propagates, to find implied fixings and bounds. On these models presolve
+  is most of HiGHS's time and probing much of presolve, and what probing
+  removes the root LP does not miss. Not every model gains: some maxsubset
+  solves get slower.
+The measurements behind each setting, with their corpora, are in CHANGES.md
+and README.
 """
 
 from __future__ import annotations
@@ -131,10 +111,9 @@ _STATUS = {
 
 class HighsOutcome(NamedTuple):
     status: str
-    values: Optional[np.ndarray]  # one per column, None without a solution
     objective: Optional[float]
+    values: Optional[np.ndarray]  # one per column, None without a solution
     message: str  # why it failed; empty unless the status is error
-    summary: str  # status, HiGHS's model status, message, stats and wall time, one a line
     seconds: float  # wall time from the first HiGHS call to the solution read back
     stats: dict  # STATS names -> HiGHS's value; None where it gave none
 
@@ -161,8 +140,9 @@ def solve_highs(
     """Minimize c.x over binary x <= ub with lower <= a.x <= upper, by HiGHS
     with `SETTINGS`. A setting or a model that HiGHS refuses, and a solver
     exception, are `error` outcomes whose message says why. With log_path,
-    HiGHS writes its own log to that file alone, and has closed it when
-    this returns.
+    HiGHS writes its own log to that file alone and closes it; then a
+    summary (status, HiGHS's model status, message, stats and wall time, one
+    a line) is appended, before this returns.
     """
     start = time.perf_counter()
     stats = dict.fromkeys(STATS)
@@ -174,12 +154,17 @@ def solve_highs(
 
     def outcome(status, message="", values=None, objective=None) -> HighsOutcome:
         seconds = time.perf_counter() - start
-        summary = (
-            f"status: {status}\nhighs_model_status: {model_status}\nmessage: {message}\n"
-            + "".join(f"{name}: {value}\n" for name, value in stats.items())
-            + f"wall_seconds: {seconds:.6f}\n"
-        )
-        return HighsOutcome(status, values, objective, message, summary, seconds, stats)
+        if log_path is not None:
+            if highs is not None:
+                highs.setOptionValue("log_file", "")  # HiGHS closes the file
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(
+                    f"status: {status}\nhighs_model_status: {model_status}\n"
+                    f"message: {message}\n"
+                    + "".join(f"{name}: {value}\n" for name, value in stats.items())
+                    + f"wall_seconds: {seconds:.6f}\n"
+                )
+        return HighsOutcome(status, objective, values, message, seconds, stats)
 
     try:
         highs = _Highs()
@@ -195,24 +180,21 @@ def solve_highs(
         ) == HighsStatus.kError:
             return outcome(ERROR, "HiGHS refused the model")
         run = highs.run()
+        info = highs.getInfo()
+        for name in STATS:  # a non-finite gap or bound is none
+            value = getattr(info, name)
+            stats[name] = value if math.isfinite(value) else None
         code = highs.getModelStatus()
         model_status = highs.modelStatusToString(code)
         status = _STATUS.get(code, ERROR)
         if run == HighsStatus.kError or status == ERROR:
             return outcome(ERROR, f"HiGHS ended with model status {model_status}")
-        info = highs.getInfo()
         if status == INFEASIBLE or info.objective_function_value == kHighsInf:
             return outcome(status)  # no solution, or no incumbent at the time limit
-        for name in STATS:  # a non-finite gap or bound is none
-            value = getattr(info, name)
-            stats[name] = value if math.isfinite(value) else None
         values = np.asarray(highs.getSolution().col_value)
         return outcome(status, values=values, objective=info.objective_function_value)
     except Exception as exc:  # a solver failure is an outcome, never a traceback
         return outcome(ERROR, f"{type(exc).__name__}: {exc}")
-    finally:
-        if log_path is not None and highs is not None:
-            highs.setOptionValue("log_file", "")  # HiGHS closes the file
 
 
 def solve_lp_file(lp_path: str, sol_path: str, time_limit: float) -> int:

@@ -31,6 +31,7 @@ from flexrsa.trimming import compute_useful_triples
 
 CFG = SolverConfig(solver="builtin", time_limit=120)
 WORKERS = 4
+PHASE_RUNS = 3  # criterion 9 takes the median trim share over these runs
 
 
 def _report(number, name, ok, detail=""):
@@ -87,18 +88,16 @@ def gen14_run():
     scenario = make_scenario(loaded, loaded.eligible_links()[0], "first")
     inst = scenario.instance
 
-    t0 = time.perf_counter()
-    triples = compute_useful_triples(inst)
-    trim_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    base = build_model(inst, triples, "base")
-    trimmed = build_model(inst, triples, "trimmed")
-    build_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    outcome = solve(trimmed, CFG)
-    solve_s = time.perf_counter() - t0
+    phases = []  # (trim_s, build_s, solve_s) of each run of the pipeline
+    for _ in range(PHASE_RUNS):
+        t0 = time.perf_counter()
+        triples = compute_useful_triples(inst)
+        t1 = time.perf_counter()
+        base = build_model(inst, triples, "base")
+        trimmed = build_model(inst, triples, "trimmed")
+        t2 = time.perf_counter()
+        outcome = solve(trimmed, CFG)
+        phases.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
     return {
         "instance": inst,
         "triples": triples,
@@ -106,9 +105,8 @@ def gen14_run():
         "trimmed_vars": model_statistics(trimmed)["variables"],
         "trimmed_model": trimmed,
         "outcome": outcome,
-        "trim_s": trim_s,
-        "build_s": build_s,
-        "solve_s": solve_s,
+        "phases": phases,
+        "solve_s": max(solve_s for _, _, solve_s in phases),
     }
 
 
@@ -340,14 +338,16 @@ def test_criterion_08_infeasibility_shortcut(t1_low_reach, tmp_path):
 
 
 def test_criterion_09_phase_attribution(gen14_run):
-    total = gen14_run["trim_s"] + gen14_run["build_s"] + gen14_run["solve_s"]
-    share = gen14_run["trim_s"] / total
+    # the median share over the runs: one run on a busy machine can stray
+    shares = sorted(trim / (trim + build + solve) for trim, build, solve in gen14_run["phases"])
+    share = shares[len(shares) // 2]
     ok = share < 0.10
     _report(
         9, "trimming under 10% of pipeline time", ok,
-        f"trim {gen14_run['trim_s']*1000:.0f}ms of {total:.2f}s = {share:.1%}",
+        f"median trim share of {len(shares)} runs {share:.1%} "
+        f"(shares {', '.join(f'{s:.1%}' for s in shares)})",
     )
-    assert ok, f"trim share {share:.1%}"
+    assert ok, f"median trim share {share:.1%} of {shares}"
 
 
 def test_criterion_10_determinism(tmp_path, t1, t3):

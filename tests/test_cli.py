@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from flexrsa.heuristic import hop_bound_routing
 from flexrsa.io import instance_to_dict, save_instance
 from flexrsa.milp import build_model
 from flexrsa.model import Demand, RestorationInstance
+from flexrsa.oracle import random_instance
 from flexrsa.trimming import compute_useful_triples
 from tests_support import canned_solver
 
@@ -147,6 +149,17 @@ class TestSolve:
         assert "solve_seconds" in meta["timings"]
         assert "highs_seconds" not in meta["timings"]
         assert "solver_stats" not in meta
+
+    def test_highs_proven_infeasible_reports_solver_stats(self):
+        # HiGHS proves this tiny instance infeasible without a solution; its
+        # counts are still read (presolve decides it: 0 nodes, 0 iterations)
+        inst = random_instance(random.Random(1008))
+        doc = cli.answer(inst, "trimmed", "feasibility", SolverConfig())
+        assert (doc["status"], doc["meta"]["proven_by"]) == ("infeasible", "milp")
+        stats = doc["meta"]["solver_stats"]
+        assert isinstance(stats["simplex_iteration_count"], int)
+        assert isinstance(stats["mip_node_count"], int)
+        assert (stats["mip_gap"], stats["mip_dual_bound"]) == (None, None)  # not finite
 
     def test_failed_external_solve_says_why_and_names_its_log(
         self, contested_file, tmp_path, monkeypatch

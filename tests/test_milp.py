@@ -11,6 +11,7 @@ from flexrsa.milp import (
     build_model,
     model_statistics,
     row_family,
+    row_relation,
 )
 from flexrsa.model import InputError, RestorationInstance
 from flexrsa.trimming import compute_useful_triples
@@ -18,6 +19,20 @@ from flexrsa.trimming import compute_useful_triples
 
 def trimmed(inst, mode="feasibility"):
     return build_model(inst, compute_useful_triples(inst), "trimmed", mode)
+
+
+def tags(model, family):
+    """The names of the model's rows of one family, in row order."""
+    return [tag for tag in model.row_names if row_family(tag) == family]
+
+
+def row(model, tag):
+    """(terms, relation, rhs) of the named row, read from the CSR arrays;
+    terms maps the key of each column in the row to its coefficient."""
+    i = model.row_names.index(tag)
+    span = slice(model.a.indptr[i], model.a.indptr[i + 1])
+    terms = dict(zip(model.keys(model.a.indices[span]), model.a.data[span].tolist()))
+    return (terms, *row_relation(model.lower[i], model.upper[i]))
 
 
 class TestVariableSets:
@@ -86,80 +101,78 @@ class TestVariableSets:
 class TestConstraints:
     def test_unicolor_absent_for_useless_link(self, t1):
         model = trimmed(t1)
-        tags = [c.tag for c in model.constraints]
-        assert "uni_l1_c1" in tags
-        assert not any(t.startswith("uni_l3") for t in tags)
+        assert "uni_l1_c1" in model.row_names
+        assert not any(t.startswith("uni_l3") for t in model.row_names)
 
     def test_flow_conservation_only_at_inner_nodes(self, t1):
-        model = trimmed(t1)
-        flows = [c for c in model.constraints if row_family(c.tag) == "flow"]
+        flows = tags(trimmed(t1), "flow")
         # only node index 1 (node 2) is inner; colors 1 and 2
         assert len(flows) == 2
-        assert all("_n1" in c.tag for c in flows)
+        assert all("_n1" in t for t in flows)
 
     def test_source_constraints_shape(self, t1):
         model = trimmed(t1)
-        src = {c.tag: c for c in model.constraints if row_family(c.tag) == "srcout"}
-        con = src["srcout_d1"]
-        assert con.relation == "="
-        assert con.rhs == 1
-        assert set(con.coeffs) == {WindowVar(1, 1, True, 1), WindowVar(1, 1, True, 2)}
+        assert tags(model, "srcout") == ["srcout_d1"]
+        terms, relation, rhs = row(model, "srcout_d1")
+        assert (relation, rhs) == ("=", 1)
+        assert set(terms) == {WindowVar(1, 1, True, 1), WindowVar(1, 1, True, 2)}
 
     def test_reach_constraint_coefficients(self, t1):
         model = trimmed(t1)
-        (reach,) = [c for c in model.constraints if row_family(c.tag) == "reach"]
-        assert reach.relation == "<="
-        assert reach.rhs == 2.0  # reach 2: a window counts its link once
-        assert all(coeff == 1.0 for coeff in reach.coeffs.values())
+        (reach,) = tags(model, "reach")
+        terms, relation, rhs = row(model, reach)
+        assert relation == "<="
+        assert rhs == 2.0  # reach 2: a window counts its link once
+        assert all(coeff == 1.0 for coeff in terms.values())
 
     def test_windows_need_no_contiguity_rows(self, t4):
         model = trimmed(t4)
-        fams = {row_family(c.tag) for c in model.constraints}
-        assert fams == {"flow", "srcout", "reach", "uni"}
-        rows = {c.tag: c for c in model.constraints}
+        assert {row_family(t) for t in model.row_names} == {"flow", "srcout", "reach", "uni"}
         # a unicolor row holds every window over its color
-        assert set(rows["uni_l1_c2"].coeffs) == {
+        assert set(row(model, "uni_l1_c2")[0]) == {
             WindowVar(4, 1, True, 1), WindowVar(4, 1, True, 2)
         }
-        assert set(rows["uni_l1_c4"].coeffs) == {WindowVar(4, 1, True, 3)}
-        assert rows["reach_d4"].rhs == 5.0  # the reach, not reach x width
-        assert rows["srcout_d4"].rhs == 1  # one window leaves the source
+        assert set(row(model, "uni_l1_c4")[0]) == {WindowVar(4, 1, True, 3)}
+        assert row(model, "reach_d4")[2] == 5.0  # the reach, not reach x width
+        assert row(model, "srcout_d4")[2] == 1  # one window leaves the source
         # flow is conserved per first color at the inner node
-        assert sorted(t for t in rows if t.startswith("flow")) == [
+        assert sorted(tags(model, "flow")) == [
             "flow_d4_w1_n1", "flow_d4_w2_n1", "flow_d4_w3_n1"
         ]
 
     def test_contiguity_families_for_width_two(self, t4):
         model = build_model(t4, None, "notrim")
-        fams = {row_family(c.tag) for c in model.constraints}
-        assert {"ctgA", "ctgB", "ctgC"} <= fams
-        ctg_c = [c for c in model.constraints if row_family(c.tag) == "ctgC"]
+        assert {"ctgA", "ctgB", "ctgC"} <= {row_family(t) for t in model.row_names}
+        ctg_c = tags(model, "ctgC")
         # color 4 is free but never a first color: x4 <= x3 on every arc
-        assert [c.tag for c in ctg_c] == [
+        assert ctg_c == [
             "ctgC_d4_l1f_c4", "ctgC_d4_l1b_c4", "ctgC_d4_l2f_c4", "ctgC_d4_l2b_c4"
         ]
-        for con in ctg_c:
-            assert con.relation == ">="
-            assert sorted(con.coeffs.values()) == [-1, 1]
+        for tag in ctg_c:
+            terms, relation, _ = row(model, tag)
+            assert relation == ">="
+            assert sorted(terms.values()) == [-1, 1]
 
     def test_contiguity_skipped_for_width_one(self, t1):
         model = build_model(t1, None, "notrim")
-        assert not any(row_family(c.tag).startswith("ctg") for c in model.constraints)
+        assert not any(row_family(t).startswith("ctg") for t in model.row_names)
 
     def test_base_contiguity_only_window_and_bottom(self, t4):
         model = build_model(t4, None, "base")
-        fams = {row_family(c.tag) for c in model.constraints}
-        assert "ctgC" not in fams
-        ctg_b = [c for c in model.constraints if row_family(c.tag) == "ctgB"]
-        assert ctg_b and all(c.tag.endswith("_c1") for c in ctg_b)
+        assert "ctgC" not in {row_family(t) for t in model.row_names}
+        ctg_b = tags(model, "ctgB")
+        assert ctg_b and all(t.endswith("_c1") for t in ctg_b)
         # window rows exist up to the top of the spectrum
-        assert any(c.tag.endswith("_c4") for c in model.constraints if row_family(c.tag) == "ctgA")
+        assert any(t.endswith("_c4") for t in tags(model, "ctgA"))
 
     def test_no_empty_rows_except_unroutable_source(self, t1_low_reach):
         model = trimmed(t1_low_reach)
-        empties = [c for c in model.constraints if not c.coeffs]
-        assert [c.tag for c in empties] == ["srcout_d1"]
-        assert empties[0].rhs == 1
+        empties = [
+            t for i, t in enumerate(model.row_names)
+            if model.a.indptr[i] == model.a.indptr[i + 1]
+        ]
+        assert empties == ["srcout_d1"]
+        assert row(model, "srcout_d1")[2] == 1
 
 
 class TestModes:
@@ -178,12 +191,12 @@ class TestModes:
 
     def test_maxsubset_source_rows_reference_selector(self, t3):
         model = trimmed(t3, "maxsubset")
-        src = [c for c in model.constraints if row_family(c.tag) == "srcout"]
-        for con in src:
-            assert con.rhs == 0
-            sel = [k for k in con.coeffs if isinstance(k, SelectVar)]
+        for tag in tags(model, "srcout"):
+            terms, _, rhs = row(model, tag)
+            assert rhs == 0
+            sel = [k for k in terms if isinstance(k, SelectVar)]
             assert len(sel) == 1
-            assert con.coeffs[sel[0]] == -1  # width 1
+            assert terms[sel[0]] == -1  # width 1
 
     def test_trimmed_requires_triples(self, t1):
         with pytest.raises(InputError):
